@@ -14,21 +14,24 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation: LLT size sweep (8-way)\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n\n";
 
     const std::vector<unsigned> sizes{8u, 16u, 32u, 64u, 128u, 256u};
     std::vector<SimJob> jobs;
     for (unsigned entries : sizes) {
-        SystemConfig cfg = opts.makeConfig();
-        cfg.logging.lltEntries = entries;
-        cfg.logging.lltWays = std::min(entries, 8u);
-        jobs.push_back(SimJob{cfg, LogScheme::Proteus,
-                              WorkloadKind::Queue, {},
-                              "LLT=" + std::to_string(entries) + " QE"});
-        jobs.push_back(SimJob{cfg, LogScheme::Proteus,
-                              WorkloadKind::RbTree, {},
-                              "LLT=" + std::to_string(entries) + " RT"});
+        RunSpec spec = opts.spec;
+        spec.overrides.push_back("logging.lltEntries=" +
+                                 std::to_string(entries));
+        spec.overrides.push_back("logging.lltWays=" +
+                                 std::to_string(std::min(entries, 8u)));
+        jobs.push_back(
+            SimJob{spec.with(LogScheme::Proteus, WorkloadKind::Queue),
+                   "LLT=" + std::to_string(entries) + " QE"});
+        jobs.push_back(
+            SimJob{spec.with(LogScheme::Proteus, WorkloadKind::RbTree),
+                   "LLT=" + std::to_string(entries) + " RT"});
     }
     const auto results = bench::runBatch(opts, jobs);
 

@@ -14,19 +14,16 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation: log write removal on/off\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n\n";
 
     const auto workloads = allPaperWorkloads();
     std::vector<SimJob> jobs;
     for (WorkloadKind w : workloads) {
-        jobs.push_back(SimJob{opts.makeConfig(), LogScheme::Proteus, w,
-                              {}, bench::jobLabel(LogScheme::Proteus, w)});
-        jobs.push_back(SimJob{opts.makeConfig(), LogScheme::ProteusNoLWR,
-                              w,
-                              {},
-                              bench::jobLabel(LogScheme::ProteusNoLWR,
-                                              w)});
+        for (LogScheme s : {LogScheme::Proteus, LogScheme::ProteusNoLWR})
+            jobs.push_back(
+                SimJob{opts.spec.with(s, w), bench::jobLabel(s, w)});
     }
     const auto results = bench::runBatch(opts, jobs);
 

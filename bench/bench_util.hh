@@ -61,8 +61,8 @@ runBatch(const BenchOptions &opts, const std::vector<SimJob> &jobs)
         std::vector<JsonResultRow> rows;
         rows.reserve(jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i)
-            rows.push_back(JsonResultRow{toString(jobs[i].scheme),
-                                         toString(jobs[i].kind),
+            rows.push_back(JsonResultRow{toString(jobs[i].spec.scheme),
+                                         toString(jobs[i].spec.kind),
                                          results[i].result,
                                          results[i].wallMs});
         writeJsonResults(opts.jsonPath, rows);
@@ -74,9 +74,8 @@ runBatch(const BenchOptions &opts, const std::vector<SimJob> &jobs)
         std::vector<obs::TxStatsRow> rows;
         rows.reserve(jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i)
-            rows.push_back(makeTxStatsRow(opts, jobs[i].scheme,
-                                          jobs[i].kind,
-                                          results[i].result));
+            rows.push_back(
+                makeTxStatsRow(jobs[i].spec, results[i].result));
         obs::writeTxStatsFile(opts.txStats, rows);
     }
     return results;
@@ -95,8 +94,7 @@ runMatrix(const BenchOptions &opts, const std::vector<LogScheme> &schemes,
     jobs.reserve(schemes.size() * workloads.size());
     for (LogScheme s : schemes) {
         for (WorkloadKind w : workloads)
-            jobs.push_back(SimJob{opts.makeConfig(), s, w, {},
-                                  jobLabel(s, w)});
+            jobs.push_back(SimJob{opts.spec.with(s, w), jobLabel(s, w)});
     }
     const auto outcomes = runBatch(opts, jobs);
 

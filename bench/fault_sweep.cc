@@ -85,8 +85,9 @@ main(int argc, char **argv)
     std::cout << "Fault-injection sweep: " << std::size(tiers)
               << " tiers x " << schemes.size() << " schemes x "
               << workloads.size() << " workloads\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
-              << " fault-seed=" << opts.faults.seed << "\n";
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
+              << " fault-seed=" << opts.spec.faults.seed << "\n";
 
     // Timing runs: one batch over the full matrix; each job carries its
     // tier's fault config (the batch is bit-identical at any --jobs).
@@ -94,14 +95,14 @@ main(int argc, char **argv)
     for (const FaultTier &tier : tiers) {
         for (LogScheme s : schemes) {
             for (WorkloadKind w : workloads) {
-                SystemConfig cfg = opts.makeConfig();
+                RunSpec spec = opts.spec.with(s, w);
                 if (*tier.spec) {
-                    cfg.faults = faults::parseFaultSpec(tier.spec,
-                                                        opts.faults);
+                    spec.faults = faults::parseFaultSpec(tier.spec,
+                                                         opts.spec.faults);
                 }
-                jobs.push_back(SimJob{cfg, s, w, {},
-                                      std::string(tier.name) + " / " +
-                                          bench::jobLabel(s, w)});
+                jobs.push_back(SimJob{spec, std::string(tier.name) +
+                                                " / " +
+                                                bench::jobLabel(s, w)});
             }
         }
     }
@@ -120,14 +121,15 @@ main(int argc, char **argv)
         ct.schemes = schemes;
         ct.workloads = workloads;
         ct.threads = 1;
-        ct.scale = opts.scale;
-        ct.seed = opts.seed;
+        ct.scale = opts.spec.scale;
+        ct.seed = opts.spec.seed;
         ct.mode = CrashMode::Stride;
         ct.autoPoints = 5;
         ct.jobs = opts.jobs;
         ct.cycleSkip = opts.cycleSkip;
         ct.useTraceCache = opts.traceCache;
-        ct.faults = faults::parseFaultSpec(tier.spec, opts.faults);
+        ct.faults =
+            faults::parseFaultSpec(tier.spec, opts.spec.faults);
         std::ostringstream progress;
         const CrashTestSummary summary = runCrashTests(ct, progress);
         for (const CrashPairResult &pair : summary.pairs) {
@@ -175,10 +177,11 @@ main(int argc, char **argv)
     std::ofstream os(outPath);
     if (!os)
         fatal("cannot open --out file: ", outPath);
-    os << "{\"benchmark\": \"fault_sweep\", \"scale\": " << opts.scale
-       << ", \"threads\": " << opts.threads
-       << ", \"seed\": " << opts.seed
-       << ", \"faultSeed\": " << opts.faults.seed
+    os << "{\"benchmark\": \"fault_sweep\", \"scale\": "
+       << opts.spec.scale
+       << ", \"threads\": " << opts.spec.threads
+       << ", \"seed\": " << opts.spec.seed
+       << ", \"faultSeed\": " << opts.spec.faults.seed
        << ", \"undetectedCorruption\": " << undetected
        << ", \"rows\": [\n";
 

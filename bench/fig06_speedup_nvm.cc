@@ -18,7 +18,8 @@ main(int argc, char **argv)
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Figure 6: speedup on NVMM (baseline: PMEM software "
               << "logging, ADR)\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n";
 
     const auto matrix = bench::runMatrix(

@@ -18,7 +18,8 @@ main(int argc, char **argv)
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Figure 7: front-end stall cycles normalized to "
               << "PMEM+nolog\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n";
 
     const auto matrix = bench::runMatrix(

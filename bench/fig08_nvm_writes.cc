@@ -17,7 +17,8 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Figure 8: NVM writes normalized to PMEM+nolog\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n";
 
     const auto matrix = bench::runMatrix(

@@ -16,9 +16,10 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     // Section 7.1: write tRCD of 240 memory cycles (300 ns at 800 MHz).
-    opts.overrides.push_back("mem.nvmWriteTRCD=240");
+    opts.spec.overrides.push_back("mem.nvmWriteTRCD=240");
     std::cout << "Figure 9: speedup on slow NVMM (300 ns writes)\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n";
 
     const auto matrix = bench::runMatrix(

@@ -14,9 +14,10 @@ int
 main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
-    opts.dram = true;
+    opts.spec.dram = true;
     std::cout << "Figure 10: speedup on DRAM (NVDIMM, Section 7.2)\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n";
 
     const auto matrix = bench::runMatrix(

@@ -18,8 +18,9 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Figure 11: speedup vs LogQ size (baseline PMEM"
-              << (opts.dram ? ", DRAM timing" : "") << ")\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << (opts.spec.dram ? ", DRAM timing" : "") << ")\n"
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n";
 
     const auto workloads = allPaperWorkloads();
@@ -28,17 +29,17 @@ main(int argc, char **argv)
     // One batch: per-workload PMEM baselines, then the whole sweep.
     std::vector<SimJob> jobs;
     for (WorkloadKind w : workloads) {
-        jobs.push_back(SimJob{opts.makeConfig(), LogScheme::PMEM, w, {},
+        jobs.push_back(SimJob{opts.spec.with(LogScheme::PMEM, w),
                               std::string("baseline PMEM / ") +
                                   toString(w)});
     }
     for (unsigned logq : logqs) {
         for (WorkloadKind w : workloads) {
-            SystemConfig cfg = opts.makeConfig();
-            cfg.logging.logQEntries = logq;
-            jobs.push_back(SimJob{cfg, LogScheme::Proteus, w, {},
-                                  "LogQ=" + std::to_string(logq) +
-                                      " / " + toString(w)});
+            RunSpec spec = opts.spec.with(LogScheme::Proteus, w);
+            spec.overrides.push_back("logging.logQEntries=" +
+                                     std::to_string(logq));
+            jobs.push_back(SimJob{spec, "LogQ=" + std::to_string(logq) +
+                                            " / " + toString(w)});
         }
     }
     const auto results = bench::runBatch(opts, jobs);

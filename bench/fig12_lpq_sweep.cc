@@ -18,7 +18,8 @@ main(int argc, char **argv)
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Figure 12: speedup vs LPQ size (LogQ=16, baseline "
               << "PMEM)\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n";
 
     const auto workloads = allPaperWorkloads();
@@ -28,18 +29,18 @@ main(int argc, char **argv)
     // One batch: per-workload PMEM baselines, then the whole sweep.
     std::vector<SimJob> jobs;
     for (WorkloadKind w : workloads) {
-        jobs.push_back(SimJob{opts.makeConfig(), LogScheme::PMEM, w, {},
+        jobs.push_back(SimJob{opts.spec.with(LogScheme::PMEM, w),
                               std::string("baseline PMEM / ") +
                                   toString(w)});
     }
     for (unsigned lpq : lpqs) {
         for (WorkloadKind w : workloads) {
-            SystemConfig cfg = opts.makeConfig();
-            cfg.logging.logQEntries = 16;
-            cfg.memCtrl.lpqEntries = lpq;
-            jobs.push_back(SimJob{cfg, LogScheme::Proteus, w, {},
-                                  "LPQ=" + std::to_string(lpq) + " / " +
-                                      toString(w)});
+            RunSpec spec = opts.spec.with(LogScheme::Proteus, w);
+            spec.overrides.push_back("logging.logQEntries=16");
+            spec.overrides.push_back("memCtrl.lpqEntries=" +
+                                     std::to_string(lpq));
+            jobs.push_back(SimJob{spec, "LPQ=" + std::to_string(lpq) +
+                                            " / " + toString(w)});
         }
     }
     const auto results = bench::runBatch(opts, jobs);

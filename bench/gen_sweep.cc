@@ -77,7 +77,7 @@ main(int argc, char **argv)
     if (opts.jsonPath.empty())
         opts.jsonPath = "BENCH_gen.json";
 
-    const wlgen::GenSpec base = opts.genSpec();
+    const wlgen::GenSpec base = opts.spec.gen;
     const std::vector<LogScheme> schemes{
         LogScheme::PMEM, LogScheme::PMEMPCommit, LogScheme::PMEMNoLog,
         LogScheme::ATOM, LogScheme::Proteus, LogScheme::ProteusNoLWR};
@@ -104,18 +104,18 @@ main(int argc, char **argv)
               << " thetas x " << axes.txKeys.size() << " tx sizes x "
               << schemes.size() << " schemes\n"
               << "base spec: " << base.canonical() << "\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n\n";
 
     std::vector<SimJob> jobs;
     jobs.reserve(combos.size() * schemes.size());
     for (const Combo &c : combos) {
-        WorkloadExtras extras;
-        extras.gen = c.spec;
-        for (LogScheme s : schemes)
-            jobs.push_back(SimJob{opts.makeConfig(), s,
-                                  WorkloadKind::Generated, extras,
-                                  c.name + " " + toString(s)});
+        for (LogScheme s : schemes) {
+            RunSpec spec = opts.spec.with(s, WorkloadKind::Generated);
+            spec.gen = c.spec;
+            jobs.push_back(SimJob{spec, c.name + " " + toString(s)});
+        }
     }
 
     // Run directly (not bench::runBatch): the JSON and tx-stats rows
@@ -128,12 +128,13 @@ main(int argc, char **argv)
     std::vector<obs::TxStatsRow> tx_rows;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const Combo &c = combos[i / schemes.size()];
-        rows.push_back(JsonResultRow{toString(jobs[i].scheme), c.name,
+        rows.push_back(JsonResultRow{toString(jobs[i].spec.scheme),
+                                     c.name,
                                      results[i].result,
                                      results[i].wallMs});
         if (!opts.txStats.empty()) {
-            obs::TxStatsRow row = makeTxStatsRow(
-                opts, jobs[i].scheme, jobs[i].kind, results[i].result);
+            obs::TxStatsRow row =
+                makeTxStatsRow(jobs[i].spec, results[i].result);
             row.workload = c.name;
             tx_rows.push_back(row);
         }

@@ -18,7 +18,8 @@ main(int argc, char **argv)
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Table 3: speedups for large transactions "
               << "(linked-list microbenchmark)\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n\n";
 
     TablePrinter table({"tx size", "Proteus", "ideal",
@@ -31,14 +32,12 @@ main(int argc, char **argv)
 
     std::vector<SimJob> jobs;
     for (unsigned elements : sizes) {
-        WorkloadExtras extras;
-        extras.ll.elementsPerNode = elements;
         for (LogScheme s : schemes) {
-            jobs.push_back(SimJob{opts.makeConfig(), s,
-                                  WorkloadKind::LinkedList, extras,
-                                  "elements=" +
-                                      std::to_string(elements) + " " +
-                                      toString(s)});
+            RunSpec spec = opts.spec.with(s, WorkloadKind::LinkedList);
+            spec.ll.elementsPerNode = elements;
+            jobs.push_back(SimJob{spec, "elements=" +
+                                            std::to_string(elements) +
+                                            " " + toString(s)});
         }
     }
     const auto results = bench::runBatch(opts, jobs);

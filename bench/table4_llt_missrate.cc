@@ -17,7 +17,8 @@ main(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Table 4: LLT miss rate (64 entries, 8-way)\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "scale=" << opts.spec.scale
+              << " threads=" << opts.spec.threads
               << "\n\n";
 
     const std::map<std::string, double> paper = {
@@ -27,8 +28,8 @@ main(int argc, char **argv)
     const auto workloads = allPaperWorkloads();
     std::vector<SimJob> jobs;
     for (WorkloadKind w : workloads) {
-        jobs.push_back(SimJob{opts.makeConfig(), LogScheme::Proteus, w,
-                              {}, toString(w)});
+        jobs.push_back(
+            SimJob{opts.spec.with(LogScheme::Proteus, w), toString(w)});
     }
     const auto results = bench::runBatch(opts, jobs);
 

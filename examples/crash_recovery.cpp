@@ -19,14 +19,12 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
-    SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = LogScheme::Proteus;
-
-    WorkloadParams params;
-    params.threads = 1;     // single thread: exact prefix comparison
-    params.scale = opts.scale;
-    params.seed = opts.seed;
+    const BenchOptions opts = BenchOptions::parse(argc, argv);
+    RunSpec spec =
+        opts.spec.with(LogScheme::Proteus, WorkloadKind::HashMap);
+    spec.threads = 1;       // single thread: exact prefix comparison
+    const SystemConfig cfg = opts.makeConfig(spec);
+    const WorkloadParams params = spec.key().params;
 
     // First, learn how long the full run takes.
     std::cout << "Measuring the full run...\n";

@@ -17,20 +17,15 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
-    SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = LogScheme::Proteus;
+    const BenchOptions opts = BenchOptions::parse(argc, argv);
+    const RunSpec spec =
+        opts.spec.with(LogScheme::Proteus, WorkloadKind::Queue);
 
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.seed = opts.seed;
-
-    std::cout << "Building a " << params.threads
+    std::cout << "Building a " << spec.threads
               << "-core system running the QE workload under "
-              << toString(cfg.logging.scheme) << "...\n";
+              << toString(spec.scheme) << "...\n";
 
-    FullSystem system(cfg, WorkloadKind::Queue, params);
+    FullSystem system(opts.makeConfig(spec), spec.kind, spec.key().params);
     const RunResult r = system.run();
 
     std::cout << "finished:            "

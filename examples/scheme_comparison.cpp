@@ -25,8 +25,8 @@ main(int argc, char **argv)
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
     std::cout << "Comparing logging schemes on " << toString(kind)
-              << " (scale=" << opts.scale
-              << ", threads=" << opts.threads << ")\n\n";
+              << " (scale=" << opts.spec.scale
+              << ", threads=" << opts.spec.threads << ")\n\n";
 
     TablePrinter table({"scheme", "cycles", "speedup", "NVM writes",
                         "fe stalls", "txs"});
@@ -38,7 +38,7 @@ main(int argc, char **argv)
           LogScheme::ProteusNoLWR, LogScheme::Proteus,
           LogScheme::PMEMNoLog}) {
         const RunResult r =
-            runExperiment(opts.makeConfig(), scheme, kind, opts);
+            runExperiment(opts.spec.with(scheme, kind), opts);
         if (scheme == LogScheme::PMEM)
             base = static_cast<double>(r.cycles);
         table.printRow(std::cout,

@@ -146,20 +146,34 @@ recoverAllThreads(FullSystem &system, MemoryImage &image)
     return results;
 }
 
+RunSpec
+CrashTestOptions::pairSpec(LogScheme scheme, WorkloadKind kind) const
+{
+    RunSpec spec;
+    spec.kind = kind;
+    spec.scheme = scheme;
+    spec.threads = threads;
+    spec.scale = scale;
+    spec.initScale = initScale;
+    spec.seed = seed;
+    spec.gen = gen;
+    spec.faults = faults;
+    return spec;
+}
+
 std::string
 replayCommand(const CrashTestOptions &opts, const CrashPairResult &pair)
 {
+    const RunSpec spec = opts.pairSpec(pair.scheme, pair.workload);
     std::ostringstream os;
     os << "proteus-crashtest --schemes " << toString(pair.scheme)
-       << " --workloads " << toString(pair.workload) << " --seed "
-       << opts.seed << " --threads " << opts.threads << " --scale "
-       << opts.scale << " --init-scale " << opts.initScale;
-    if (pair.workload == WorkloadKind::Generated)
-        os << " --wl-spec " << opts.gen.canonical();
+       << " --workloads " << toString(pair.workload) << " "
+       << joinArgs(spec.workloadArgs());
+    for (const std::string &arg : spec.machineArgs())
+        os << " " << arg;
     switch (opts.mode) {
       case CrashMode::Stride:
-        os << " --crash-stride "
-           << (opts.stride ? opts.stride : Tick{0});
+        os << " --crash-stride " << opts.stride;
         if (opts.stride == 0)
             os << " --sweep-points " << opts.autoPoints;
         break;
@@ -174,8 +188,6 @@ replayCommand(const CrashTestOptions &opts, const CrashPairResult &pair)
     }
     if (opts.breakRecovery)
         os << " --break-recovery";
-    if (opts.faults.enabled())
-        os << " --faults " << faults::canonicalFaultSpec(opts.faults);
     return os.str();
 }
 
@@ -184,8 +196,7 @@ namespace {
 /** Check one crash point of @p sys (non-destructive). */
 CrashPointResult
 checkCrashPoint(const CrashTestOptions &opts, FullSystem &sys,
-                const CommitOracle &oracle, WorkloadKind kind,
-                const WorkloadParams &params)
+                const CommitOracle &oracle, const TraceBundleKey &key)
 {
     const LogScheme scheme = sys.config().logging.scheme;
     CrashPointResult row;
@@ -228,8 +239,8 @@ checkCrashPoint(const CrashTestOptions &opts, FullSystem &sys,
     if (opts.threads == 1 && scheme != LogScheme::PMEMNoLog &&
         opts.checkSerialization) {
         PersistentHeap replay_heap;
-        auto replay = makeWorkload(kind, replay_heap, scheme, params,
-                                   WorkloadExtras{{}, opts.gen});
+        auto replay = makeWorkload(key.kind, replay_heap, key.scheme,
+                                   key.params, key.extras());
         replay->setup();
         replay->replayOps(row.replayed);
         const std::string recovered = sys.workload().serialize(image);
@@ -336,20 +347,10 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     pair.scheme = scheme;
     pair.workload = kind;
 
-    SystemConfig cfg = baselineConfig();
-    cfg.logging.scheme = scheme;
-    cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
-    cfg.seed = opts.seed;
+    const RunSpec spec = opts.pairSpec(scheme, kind);
+    SystemConfig cfg = spec.config();
     cfg.cycleSkip = opts.cycleSkip;
-    cfg.faults = opts.faults;
-    if (opts.threads > cfg.cores)
-        cfg.cores = opts.threads;
-
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
+    const TraceBundleKey key = spec.key();
 
     // With the cache on, one functional execution serves both the
     // reference run and the crash-injected run; the oracle is rebuilt
@@ -358,11 +359,6 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     std::shared_ptr<const TraceBundle> bundle;
     CommitOracle oracle;
     if (opts.useTraceCache) {
-        TraceBundleKey key;
-        key.kind = kind;
-        key.scheme = scheme;
-        key.params = params;
-        key.gen = opts.gen;
         bundle = TraceCache::global().get(key, /*want_history=*/true);
         bundle->history->replayTo(oracle);
     }
@@ -375,20 +371,14 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
         SystemConfig ref_cfg = cfg;
         if (opts.check) {
             ref_cfg.analysis.check = true;
-            std::ostringstream repro;
-            repro << "proteus-check run " << toString(kind)
-                  << " --scheme " << toString(scheme) << " --seed "
-                  << opts.seed << " --threads " << opts.threads
-                  << " --scale " << opts.scale << " --init-scale "
-                  << opts.initScale;
-            ref_cfg.analysis.repro = repro.str();
+            ref_cfg.analysis.repro = checkReproLine(spec);
         }
         std::unique_ptr<FullSystem> reference;
         if (bundle)
             reference = std::make_unique<FullSystem>(ref_cfg, bundle);
         else
             reference = std::make_unique<FullSystem>(
-                ref_cfg, kind, params, WorkloadExtras{{}, opts.gen});
+                ref_cfg, kind, key.params, key.extras());
         const RunResult full = reference->run(runCycleLimit);
         if (!full.finished)
             fatal("crashtest: reference run hit the cycle limit");
@@ -396,12 +386,8 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
         if (opts.check && full.check && !full.check->pass()) {
             pair.checkViolations = full.check->totalViolations;
             pair.violations += full.check->totalViolations;
-            CheckRow row;
-            row.scheme = scheme;
-            row.kind = kind;
-            row.run = full;
-            row.outcome = *full.check;
-            pair.failureReports.push_back(formatCheckReport(row));
+            pair.failureReports.push_back(formatCheckReport(
+                CheckRow{scheme, kind, full, *full.check}));
         }
     }
 
@@ -412,10 +398,8 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     if (bundle)
         sys_holder = std::make_unique<FullSystem>(cfg, bundle);
     else
-        sys_holder =
-            std::make_unique<FullSystem>(cfg, kind, params,
-                                         WorkloadExtras{{}, opts.gen},
-                                         &oracle);
+        sys_holder = std::make_unique<FullSystem>(
+            cfg, kind, key.params, key.extras(), &oracle);
     FullSystem &sys = *sys_holder;
     pair.totalTxs = oracle.txCount();
 
@@ -423,8 +407,7 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
         const Tick now = sys.sim().now();
         if (at > now)
             sys.runFor(at - now);
-        CrashPointResult row =
-            checkCrashPoint(opts, sys, oracle, kind, params);
+        CrashPointResult row = checkCrashPoint(opts, sys, oracle, key);
         if (!row.ok) {
             ++pair.violations;
             if (pair.failureReports.size() < 5)

@@ -28,6 +28,7 @@
 #include "commit_oracle.hh"
 #include "faults/fault_config.hh"
 #include "harness/parallel_runner.hh"
+#include "harness/run_spec.hh"
 #include "harness/system.hh"
 #include "recovery/recovery.hh"
 
@@ -95,9 +96,22 @@ struct CrashTestOptions
      * was flagged by ECC/poison; silent corruption is always a failure.
      */
     faults::FaultConfig faults;
+
+    /** The run spec of the (@p scheme, @p kind) pair: every pair runs
+     *  the baseline machine with these sizing, seed, spec and faults. */
+    RunSpec pairSpec(LogScheme scheme, WorkloadKind kind) const;
 };
 
-/** Outcome of one crash point. */
+/** Spec flags proteus-crashtest accepts (the rest are its own). */
+constexpr unsigned crashTestSpecFlags =
+    specflag::Sizing | specflag::Faults | specflag::WlSpec;
+
+/**
+ * Parse proteus-crashtest's arguments (without the program name).
+ * Throws FatalError on an unknown option or a bad value; --help is the
+ * caller's to handle.
+ */
+CrashTestOptions parseCrashTestArgs(const std::vector<std::string> &args);
 struct CrashPointResult
 {
     Tick crashCycle = 0;
@@ -171,7 +185,8 @@ std::vector<RecoveryResult> recoverAllThreads(FullSystem &system,
 CrashTestSummary runCrashTests(const CrashTestOptions &opts,
                                std::ostream &os);
 
-/** The single command line that reproduces @p pair's campaign cell. */
+/** The single command line that reproduces @p pair's campaign cell:
+ *  its scheme and workload, the pair spec's flags, and the mode. */
 std::string replayCommand(const CrashTestOptions &opts,
                           const CrashPairResult &pair);
 

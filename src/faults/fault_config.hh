@@ -60,6 +60,8 @@ struct FaultConfig
         return tornWriteRate > 0.0 || readFlipRate > 0.0 ||
                enduranceWrites > 0;
     }
+
+    bool operator==(const FaultConfig &) const = default;
 };
 
 /** Parse a --faults spec on top of @p base; throws FatalError on bad

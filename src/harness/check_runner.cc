@@ -43,60 +43,30 @@ hex(Addr addr)
     return os.str();
 }
 
-WorkloadParams
-paramsFor(const BenchOptions &opts, const SystemConfig &cfg)
-{
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
-    params.logAreaBytes = cfg.logging.logAreaBytes;
-    return params;
-}
-
-/** Shared core of runCheck / the mutation campaign. @p mutations_out,
- *  when set, receives the mutator's applied-perturbation count. */
+/** Shared core of every checked run: wire @p bundle (built for
+ *  @p spec) with the checker armed. @p mutations_out, when set,
+ *  receives the mutator's applied-perturbation count. */
 CheckRow
-runCheckImpl(LogScheme scheme, WorkloadKind kind,
-             const BenchOptions &opts, const WorkloadExtras &extras,
-             int mutate_rule, std::uint64_t mutate_seed,
-             std::uint64_t *mutations_out)
+runChecked(const RunSpec &spec, const BenchOptions &opts,
+           std::shared_ptr<const TraceBundle> bundle, std::string repro,
+           int mutate_rule = -1, std::uint64_t mutate_seed = 1,
+           std::uint64_t *mutations_out = nullptr)
 {
-    SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = scheme;
-    // PMEM+pcommit models the pre-ADR persistency domain.
-    cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
+    SystemConfig cfg = opts.makeConfig(spec);
     cfg.analysis.check = true;
     cfg.analysis.mutateRule = mutate_rule;
     cfg.analysis.mutateSeed = mutate_seed;
-    cfg.analysis.repro = checkReproLine(scheme, kind, opts);
+    cfg.analysis.repro = std::move(repro);
     // Checked runs never write per-run observability files: batches
     // would race on one path, and verdicts must not depend on it.
     cfg.obs.txStats.clear();
     cfg.obs.statsInterval = 0;
     cfg.obs.traceEvents.clear();
 
-    const WorkloadParams params = paramsFor(opts, cfg);
-    TraceBundleKey key;
-    key.kind = kind;
-    key.scheme = scheme;
-    key.params = params;
-    key.llOpts = extras.ll;
-    key.gen = extras.gen;
-
-    // The write history distinguishes undo-logged stores from
-    // fresh-allocation stores, arming LogBeforeData for the software
-    // schemes; always record it on the checking path.
-    std::shared_ptr<const TraceBundle> bundle = opts.traceCache
-        ? TraceCache::global().get(key, /*want_history=*/true)
-        : std::shared_ptr<const TraceBundle>(
-              TraceBundle::build(key, nullptr, /*want_history=*/true));
-
-    FullSystem system(cfg, bundle);
+    FullSystem system(cfg, std::move(bundle));
     CheckRow row;
-    row.scheme = scheme;
-    row.kind = kind;
+    row.scheme = spec.scheme;
+    row.kind = spec.kind;
     row.run = system.run();
     if (row.run.check)
         row.outcome = *row.run.check;
@@ -107,58 +77,54 @@ runCheckImpl(LogScheme scheme, WorkloadKind kind,
     return row;
 }
 
+/** @p spec's bundle with the write history, which distinguishes
+ *  undo-logged stores from fresh-allocation stores and so arms
+ *  LogBeforeData for the software schemes. */
+std::shared_ptr<const TraceBundle>
+historyBundle(const RunSpec &spec, const BenchOptions &opts)
+{
+    const TraceBundleKey key = spec.key();
+    if (opts.traceCache)
+        return TraceCache::global().get(key, /*want_history=*/true);
+    return TraceBundle::build(key, nullptr, /*want_history=*/true);
+}
+
 } // namespace
 
 std::string
-checkReproLine(LogScheme scheme, WorkloadKind kind,
-               const BenchOptions &opts)
+checkReproLine(const RunSpec &spec)
 {
-    std::ostringstream os;
-    os << "proteus-check run " << toString(kind)
-       << " --scheme " << toString(scheme)
-       << " --seed " << opts.seed
-       << " --threads " << opts.threads
-       << " --scale " << opts.scale
-       << " --init-scale " << opts.initScale;
-    if (opts.dram)
-        os << " --dram";
     // Cycle skipping and --jobs are result-invariant by design, so the
     // repro line omits them — and check JSON stays byte-identical
     // across both settings.
-    return os.str();
+    return "proteus-check run " + joinArgs(spec.args());
+}
+
+std::string
+checkReplayLine(const std::string &path, const RunSpec &spec)
+{
+    std::vector<std::string> args{"proteus-check", "replay", path};
+    for (const std::string &a : spec.machineArgs())
+        args.push_back(a);
+    return joinArgs(args);
 }
 
 CheckRow
-runCheck(LogScheme scheme, WorkloadKind kind, const BenchOptions &opts,
-         const WorkloadExtras &extras)
+runCheck(const RunSpec &spec, const BenchOptions &opts)
 {
-    return runCheckImpl(scheme, kind, opts, extras, /*mutate_rule=*/-1,
-                        /*mutate_seed=*/1, nullptr);
+    return runChecked(spec, opts, historyBundle(spec, opts),
+                      checkReproLine(spec));
 }
 
 CheckRow
 runCheckOnBundle(std::shared_ptr<const TraceBundle> bundle,
-                 const BenchOptions &opts, std::string repro)
+                 const BenchOptions &opts, const std::string &path)
 {
     if (!bundle)
         fatal("runCheckOnBundle: null trace bundle");
-    SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = bundle->key.scheme;
-    cfg.memCtrl.adr = bundle->key.scheme != LogScheme::PMEMPCommit;
-    cfg.analysis.check = true;
-    cfg.analysis.repro = std::move(repro);
-    cfg.obs.txStats.clear();
-    cfg.obs.statsInterval = 0;
-    cfg.obs.traceEvents.clear();
-
-    FullSystem system(cfg, bundle);
-    CheckRow row;
-    row.scheme = bundle->key.scheme;
-    row.kind = bundle->key.kind;
-    row.run = system.run();
-    if (row.run.check)
-        row.outcome = *row.run.check;
-    return row;
+    const RunSpec spec = opts.spec.forBundle(bundle->key);
+    return runChecked(spec, opts, std::move(bundle),
+                      checkReplayLine(path, spec));
 }
 
 std::vector<CheckRow>
@@ -179,9 +145,10 @@ runCheckBatch(const std::vector<LogScheme> &schemes,
         std::ostringstream label;
         label << "check " << toString(scheme) << " / "
               << toString(kind);
-        tasks.push_back(
-            {label.str(), [&rows, &opts, scheme = scheme, kind = kind,
-                           i]() { rows[i] = runCheck(scheme, kind, opts); }});
+        tasks.push_back({label.str(), [&rows, &opts, scheme = scheme,
+                                       kind = kind, i]() {
+            rows[i] = runCheck(opts.spec.with(scheme, kind), opts);
+        }});
     }
     ParallelRunner runner(opts.jobs);
     runner.runTasks(tasks, progress);
@@ -189,15 +156,13 @@ runCheckBatch(const std::vector<LogScheme> &schemes,
 }
 
 std::vector<MutationRow>
-runMutationCampaign(LogScheme scheme, WorkloadKind kind,
-                    const BenchOptions &opts, std::uint64_t mutate_seed,
-                    ProgressReporter *progress)
+runMutationCampaign(const RunSpec &spec, const BenchOptions &opts,
+                    std::uint64_t mutate_seed, ProgressReporter *progress)
 {
-    // The campaign always records the write history (runCheckImpl), so
-    // arm the same rule set the checked run will see.
-    const bool adr = scheme != LogScheme::PMEMPCommit;
-    const auto armed =
-        analysis::rulesForScheme(scheme, adr, /*have_history=*/true);
+    // The campaign always records the write history (historyBundle),
+    // so arm the same rule set the checked run will see.
+    const auto armed = analysis::rulesForScheme(
+        spec.scheme, adrForScheme(spec.scheme), /*have_history=*/true);
     std::vector<unsigned> targets;
     for (unsigned r = 0; r < analysis::numRules; ++r) {
         if (armed[r])
@@ -211,13 +176,15 @@ runMutationCampaign(LogScheme scheme, WorkloadKind kind,
         const unsigned r = targets[i];
         std::ostringstream label;
         label << "mutate " << toString(static_cast<analysis::Rule>(r))
-              << " on " << toString(scheme) << " / " << toString(kind);
-        tasks.push_back({label.str(), [&rows, &opts, scheme, kind, r,
+              << " on " << toString(spec.scheme) << " / "
+              << toString(spec.kind);
+        tasks.push_back({label.str(), [&rows, &opts, &spec, r,
                                        mutate_seed, i]() {
             std::uint64_t mutations = 0;
-            const CheckRow run = runCheckImpl(
-                scheme, kind, opts, {}, static_cast<int>(r),
-                mutate_seed, &mutations);
+            const CheckRow run = runChecked(
+                spec, opts, historyBundle(spec, opts),
+                checkReproLine(spec), static_cast<int>(r), mutate_seed,
+                &mutations);
             MutationRow &row = rows[i];
             row.rule = static_cast<analysis::Rule>(r);
             row.violations = run.outcome.rules[r].violations;

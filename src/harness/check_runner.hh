@@ -43,40 +43,43 @@ struct MutationRow
     std::uint64_t mutations = 0;    ///< edges the mutator perturbed
 };
 
-/** The one-command repro line carried into every violation report. */
-std::string checkReproLine(LogScheme scheme, WorkloadKind kind,
-                           const BenchOptions &opts);
+/** The one-command repro line carried into every violation report:
+ *  `proteus-check run` plus @p spec's canonical flags. */
+std::string checkReproLine(const RunSpec &spec);
 
-/** Run one (scheme, workload) pair with the checker armed. Builds the
- *  trace bundle with the write history so the software schemes arm
- *  LogBeforeData too. */
-CheckRow runCheck(LogScheme scheme, WorkloadKind kind,
-                  const BenchOptions &opts,
-                  const WorkloadExtras &extras = {});
+/** The repro line of a checked .ptrace replay: the file plus the
+ *  machine flags of @p spec (see RunSpec::machineArgs). */
+std::string checkReplayLine(const std::string &path,
+                            const RunSpec &spec);
 
-/** Check a prebuilt bundle (the proteus-check replay path; .ptrace
- *  bundles carry their scheme in the key). @p repro is the repro line
- *  for reports ("" = derive nothing). */
+/** Run @p spec with the checker armed. Builds the trace bundle with
+ *  the write history so the software schemes arm LogBeforeData too. */
+CheckRow runCheck(const RunSpec &spec, const BenchOptions &opts);
+
+/** Check the bundle recorded in the .ptrace file @p path (the
+ *  proteus-check replay path). The file fixes the workload, scheme and
+ *  sizing; @p opts the machine (see RunSpec::forBundle). */
 CheckRow runCheckOnBundle(std::shared_ptr<const TraceBundle> bundle,
-                          const BenchOptions &opts, std::string repro);
+                          const BenchOptions &opts,
+                          const std::string &path);
 
-/** Run every (scheme x workload) pair on the pool; rows land in
- *  submission order (schemes outer, workloads inner). */
+/** Run every (scheme x workload) pair of opts.spec on the pool; rows
+ *  land in submission order (schemes outer, workloads inner). */
 std::vector<CheckRow> runCheckBatch(
     const std::vector<LogScheme> &schemes,
     const std::vector<WorkloadKind> &kinds, const BenchOptions &opts,
     ProgressReporter *progress = nullptr);
 
 /**
- * The `--check-mutate` campaign: for every rule armed for @p scheme,
- * re-run the workload with a StreamMutator injecting that rule's
- * violation (k-th qualifying edge, k seeded by @p mutate_seed) and
- * record whether the rule fired. A row with fired=false means the
+ * The `--check-mutate` campaign: for every rule armed for @p spec's
+ * scheme, re-run the workload with a StreamMutator injecting that
+ * rule's violation (k-th qualifying edge, k seeded by @p mutate_seed)
+ * and record whether the rule fired. A row with fired=false means the
  * checker silently missed an injected protocol violation — the CI gate
  * fails on it.
  */
 std::vector<MutationRow> runMutationCampaign(
-    LogScheme scheme, WorkloadKind kind, const BenchOptions &opts,
+    const RunSpec &spec, const BenchOptions &opts,
     std::uint64_t mutate_seed, ProgressReporter *progress = nullptr);
 
 /// @name Reports

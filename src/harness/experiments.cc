@@ -14,36 +14,27 @@
 namespace proteus {
 
 BenchOptions
-BenchOptions::parse(int argc, char **argv)
+BenchOptions::parse(int argc, char **argv, unsigned spec_flags)
 {
     BenchOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        if (opts.spec.parseFlag(args, i, spec_flags))
+            continue;
+        const std::string &arg = args[i];
         auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
+            if (i + 1 >= args.size())
                 fatal("missing value after ", arg);
-            return argv[++i];
+            return args[++i];
         };
-        if (arg == "--scale") {
-            opts.scale = static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--init-scale") {
-            opts.initScale = static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--threads") {
-            opts.threads = static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--jobs") {
+        if (arg == "--jobs") {
             opts.jobs = static_cast<unsigned>(std::stoul(next()));
         } else if (arg == "--json") {
             opts.jsonPath = next();
-        } else if (arg == "--seed") {
-            opts.seed = std::stoull(next());
-        } else if (arg == "--dram") {
-            opts.dram = true;
         } else if (arg == "--no-trace-cache") {
             opts.traceCache = false;
         } else if (arg == "--no-cycle-skip") {
             opts.cycleSkip = false;
-        } else if (arg == "--set") {
-            opts.overrides.push_back(next());
         } else if (arg == "--stats-interval") {
             opts.statsInterval = std::stoull(next());
         } else if (arg == "--stats-out") {
@@ -56,104 +47,64 @@ BenchOptions::parse(int argc, char **argv)
             opts.txStats = next();
         } else if (arg == "--tx-slowest") {
             opts.txSlowest = std::stoull(next());
-        } else if (arg == "--faults") {
-            opts.faults = faults::parseFaultSpec(next(), opts.faults);
-        } else if (arg == "--fault-seed") {
-            opts.faults.seed = std::stoull(next());
         } else if (arg == "--check") {
             opts.check = true;
         } else if (arg == "--check-mutate") {
             opts.check = true;
             opts.checkMutate = std::stol(next());
-        } else if (arg == "--wl-spec") {
-            opts.wlSpec = next();
-        } else if (arg == "--wl-spec-file") {
-            opts.wlSpecFile = next();
         } else if (arg == "--help" || arg == "-h") {
-            std::cout
-                << "options:\n"
-                << "  --scale N      divide Table 2 SimOps by N "
-                << "(default 200; 1 = paper size)\n"
-                << "  --init-scale N divide Table 2 InitOps "
-                << "(working-set size; default 1 = paper)\n"
-                << "  --threads N    simulated cores (default 4)\n"
-                << "  --jobs N       host threads for batch runs "
-                << "(default: all cores)\n"
-                << "  --seed N       workload RNG seed\n"
-                << "  --dram         DRAM timing (Section 7.2)\n"
-                << "  --json FILE    write per-run results as JSON "
-                << "rows\n"
-                << "  --set k=v      config override, e.g. "
-                << "logging.logQEntries=8\n"
-                << "  --no-trace-cache  rebuild traces per run instead "
-                << "of sharing cached bundles\n"
-                << "  --no-cycle-skip   tick every cycle instead of "
-                << "skipping quiescent spans (same results, slower)\n"
-                << "  --stats-interval N  sample scalar-stat deltas "
-                << "every N cycles\n"
-                << "  --stats-out FILE    interval time series "
-                << "(.json or .csv)\n"
-                << "  --trace-events FILE Chrome Trace Event JSON "
-                << "(load in Perfetto)\n"
-                << "  --trace-categories LIST  comma list of "
-                << "cpu,memctrl,log,lock,all (default all)\n"
-                << "  --tx-stats FILE     transaction flight-recorder "
-                << "summary (.json or .csv)\n"
-                << "  --tx-slowest K      retain full timelines for the "
-                << "K slowest transactions (default 8)\n"
-                << "  --faults SPEC       NVM media fault injection, "
-                << "e.g. torn=0.01,readflip=1e-4,\n"
-                << "                      endurance=1000,detect=8,"
-                << "correct=1 (default: off)\n"
-                << "  --fault-seed N      fault-draw seed (default 1)\n"
-                << "  --check             arm the persistency-order "
-                << "checker; any ordering\n"
-                << "                      violation fails the run "
-                << "(see proteus-check)\n"
-                << "  --check-mutate N    seeded mutation campaign: "
-                << "every armed rule must\n"
-                << "                      catch one injected violation "
-                << "(implies --check)\n"
-                << "  --wl-spec k=v,...   generated-workload spec "
-                << "(see proteus-sim --list-workloads)\n"
-                << "  --wl-spec-file FILE base spec file; --wl-spec "
-                << "overrides on top\n";
+            std::cout << "options:\n";
+            printHelp(std::cout, spec_flags);
             std::exit(0);
         } else {
             fatal("unknown argument: ", arg);
         }
     }
-    // Catch nonsense at the CLI boundary: a zero divisor or an
-    // impossible thread count would otherwise surface as a confusing
-    // failure deep inside workload construction.
-    if (opts.scale == 0)
-        fatal("--scale must be >= 1");
-    if (opts.initScale == 0)
-        fatal("--init-scale must be >= 1");
-    if (opts.threads == 0 || opts.threads > 32)
-        fatal("--threads must be in [1, 32] (got ", opts.threads, ")");
-    if (!opts.wlSpec.empty() || !opts.wlSpecFile.empty())
-        opts.genSpec();     // validate eagerly, fail fast
     return opts;
 }
 
-wlgen::GenSpec
-BenchOptions::genSpec() const
+void
+BenchOptions::printHelp(std::ostream &os, unsigned spec_flags)
 {
-    wlgen::GenSpec spec;
-    if (!wlSpecFile.empty())
-        spec = wlgen::GenSpec::parseFile(wlSpecFile);
-    if (!wlSpec.empty())
-        spec = wlgen::GenSpec::parse(wlSpec, spec);
-    return spec;
+    RunSpec::printFlags(os, spec_flags, RunSpec{});
+    os << "  --jobs N           host worker threads for batch runs "
+       << "(default: all cores)\n"
+       << "  --json FILE        write per-run results as JSON rows\n"
+       << "  --no-trace-cache   rebuild traces per run instead of "
+       << "sharing cached bundles\n"
+       << "  --no-cycle-skip    tick every cycle instead of skipping "
+       << "quiescent spans\n"
+       << "                     (same results, slower)\n"
+       << "  --stats-interval N sample scalar-stat deltas every N "
+       << "cycles\n"
+       << "  --stats-out FILE   interval time series (.json or .csv)\n"
+       << "  --trace-events FILE\n"
+       << "                     Chrome Trace Event JSON; open in "
+       << "Perfetto (ui.perfetto.dev)\n"
+       << "  --trace-categories LIST\n"
+       << "                     comma list of cpu,memctrl,log,lock,all "
+       << "(default all)\n"
+       << "  --tx-stats FILE    transaction flight-recorder summary "
+       << "(.json or .csv)\n"
+       << "  --tx-slowest K     retain full timelines for the K slowest "
+       << "transactions\n"
+       << "                     (default 8)\n"
+       << "  --check            arm the persistency-order checker; any "
+       << "ordering\n"
+       << "                     violation fails the run (see "
+       << "proteus-check)\n"
+       << "  --check-mutate N   seeded mutation campaign: every armed "
+       << "rule must\n"
+       << "                     catch one injected violation (implies "
+       << "--check)\n";
 }
 
 SystemConfig
-BenchOptions::makeConfig() const
+BenchOptions::makeConfig(const RunSpec &run) const
 {
-    SystemConfig cfg = dram ? dramConfig() : baselineConfig();
-    cfg.seed = seed;
-    cfg.cycleSkip = cycleSkip;
+    SystemConfig cfg = run.config();
+    // --set cycleSkip=false and --no-cycle-skip each turn skipping off.
+    cfg.cycleSkip = cfg.cycleSkip && cycleSkip;
     if (statsInterval > 0 && statsOut.empty())
         fatal("--stats-interval requires --stats-out FILE");
     cfg.obs.statsInterval = statsInterval;
@@ -163,24 +114,22 @@ BenchOptions::makeConfig() const
         cfg.obs.traceCategories =
             TraceEventSink::parseCategories(traceCategories);
     cfg.obs.txStats = txStats;
-    cfg.obs.txSlowest = txSlowest;
-    cfg.faults = faults;
-    for (const std::string &o : overrides)
-        cfg.applyOverride(o);
+    cfg.obs.txTrack = txTrack;
+    if (txSlowest)
+        cfg.obs.txSlowest = *txSlowest;
     return cfg;
 }
 
 obs::TxStatsRow
-makeTxStatsRow(const BenchOptions &opts, LogScheme scheme,
-               WorkloadKind kind, const RunResult &result)
+makeTxStatsRow(const RunSpec &spec, const RunResult &result)
 {
     obs::TxStatsRow row;
-    row.scheme = toString(scheme);
-    row.workload = toString(kind);
-    row.threads = opts.threads;
-    row.scale = opts.scale;
-    row.initScale = opts.initScale;
-    row.seed = opts.seed;
+    row.scheme = toString(spec.scheme);
+    row.workload = toString(spec.kind);
+    row.threads = spec.threads;
+    row.scale = spec.scale;
+    row.initScale = spec.initScale;
+    row.seed = spec.seed;
     row.cycles = result.cycles;
     // Bucket order mirrors obs::TxSlot (and CommitBucket).
     row.cpi = {result.cpi.base,          result.cpi.robFull,
@@ -194,33 +143,17 @@ makeTxStatsRow(const BenchOptions &opts, LogScheme scheme,
 }
 
 RunResult
-runExperiment(SystemConfig cfg, LogScheme scheme, WorkloadKind kind,
-              const BenchOptions &opts,
-              const WorkloadExtras &extras)
+runExperiment(const RunSpec &spec, const BenchOptions &opts)
 {
-    cfg.logging.scheme = scheme;
-    // PMEM+pcommit models the pre-ADR persistency domain.
-    cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
+    SystemConfig cfg = opts.makeConfig(spec);
     if (opts.check) {
         cfg.analysis.check = true;
-        cfg.analysis.repro = checkReproLine(scheme, kind, opts);
+        cfg.analysis.repro = checkReproLine(spec);
     }
 
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
-    params.logAreaBytes = cfg.logging.logAreaBytes;
-
+    const TraceBundleKey key = spec.key();
     RunResult result;
     if (opts.traceCache) {
-        TraceBundleKey key;
-        key.kind = kind;
-        key.scheme = scheme;
-        key.params = params;
-        key.llOpts = extras.ll;
-        key.gen = extras.gen;
         // Checked runs need the write history so the software schemes
         // arm LogBeforeData too (undo-logged vs. storeInit stores).
         FullSystem system(
@@ -228,28 +161,22 @@ runExperiment(SystemConfig cfg, LogScheme scheme, WorkloadKind kind,
                                           /*want_history=*/opts.check));
         result = system.run();
     } else {
-        FullSystem system(cfg, kind, params, extras);
+        FullSystem system(cfg, key.kind, key.params, key.extras());
         result = system.run();
     }
     if (opts.check && result.check && !result.check->pass()) {
-        CheckRow row;
-        row.scheme = scheme;
-        row.kind = kind;
-        row.run = result;
-        row.outcome = *result.check;
-        std::cerr << formatCheckReport(row);
-        fatal("persistency-order check failed under ", toString(scheme),
-              " / ", toString(kind), ": ",
+        std::cerr << formatCheckReport(
+            CheckRow{spec.scheme, spec.kind, result, *result.check});
+        fatal("persistency-order check failed under ",
+              toString(spec.scheme), " / ", toString(spec.kind), ": ",
               result.check->totalViolations, " violation(s)");
     }
     // Single-run tx-stats file. Batches route through the parallel
-    // runner, which clears the per-job path and lets runBatch combine
-    // every row into one file in submission order.
-    if (!cfg.obs.txStats.empty() && result.txStats) {
-        obs::writeTxStatsFile(
-            cfg.obs.txStats,
-            {makeTxStatsRow(opts, scheme, kind, result)});
-    }
+    // runner, which swaps the path for txTrack and lets runBatch
+    // combine every row into one file in submission order.
+    if (!cfg.obs.txStats.empty() && result.txStats)
+        obs::writeTxStatsFile(cfg.obs.txStats,
+                              {makeTxStatsRow(spec, result)});
     return result;
 }
 

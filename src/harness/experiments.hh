@@ -9,28 +9,28 @@
 #define PROTEUS_HARNESS_EXPERIMENTS_HH
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "faults/fault_config.hh"
+#include "harness/run_spec.hh"
 #include "obs/tx_stats_io.hh"
 #include "system.hh"
 
 namespace proteus {
 
-/** Command-line options shared by every bench binary. */
+/** Command-line options shared by every bench binary: the run spec
+ *  template its jobs share, plus run control that never changes a
+ *  result (host jobs, output files, cycle skipping, checking). */
 struct BenchOptions
 {
-    unsigned scale = 200;       ///< divide Table 2 SimOps
-    unsigned initScale = 1;     ///< divide Table 2 InitOps (footprint)
-    unsigned threads = 4;
+    /** Sizing, seed, --dram, --set, --faults and --wl-spec shared by
+     *  every job; jobs choose scheme and workload (RunSpec::with). */
+    RunSpec spec;
     unsigned jobs = 0;          ///< host worker threads; 0 = all cores
-    std::uint64_t seed = 1;
-    bool dram = false;          ///< use the Section 7.2 DRAM config
     std::string jsonPath;       ///< write per-run JSON rows ("" = off)
     bool traceCache = true;     ///< share TraceBundles across runs
     bool cycleSkip = true;      ///< --no-cycle-skip to force per-cycle
-    std::vector<std::string> overrides;
 
     /// @name Observability (see ObservabilityConfig)
     /// @{
@@ -39,19 +39,13 @@ struct BenchOptions
     std::string traceEvents;    ///< --trace-events FILE
     std::string traceCategories = "all";    ///< --trace-categories spec
     std::string txStats;        ///< --tx-stats FILE (flight recorder)
-    std::uint64_t txSlowest = 8;    ///< --tx-slowest K timelines
+    /** --tx-slowest K timelines; unset keeps obs.txSlowest (8, or
+     *  --set obs.txSlowest). */
+    std::optional<std::uint64_t> txSlowest;
+    /** Run the flight recorder without writing txStats (batches
+     *  combine every job's rows into one file). */
+    bool txTrack = false;
     /// @}
-
-    /// @name Generated workload (WorkloadKind::Generated)
-    /// @{
-    std::string wlSpec;         ///< --wl-spec k=v,... (inline spec)
-    std::string wlSpecFile;     ///< --wl-spec-file FILE (base spec)
-    /// @}
-
-    /** NVM media fault injection (--faults SPEC / --fault-seed N);
-     *  disabled by default, in which case every output stays
-     *  bit-identical to a faultless build. */
-    faults::FaultConfig faults;
 
     /// @name Persistency-order checking (src/analysis)
     /// @{
@@ -59,39 +53,32 @@ struct BenchOptions
     long checkMutate = -1;  ///< --check-mutate N: campaign seed (-1 off)
     /// @}
 
-    /** Parse argv; recognizes --scale N, --threads N, --jobs N,
-     *  --seed N, --dram, --json FILE, --set key=value,
-     *  --no-trace-cache, --no-cycle-skip,
-     *  --stats-interval N, --stats-out FILE,
-     *  --trace-events FILE, --trace-categories LIST,
-     *  --tx-stats FILE, --tx-slowest K,
-     *  --faults SPEC, --fault-seed N, --check, --check-mutate N,
-     *  --wl-spec k=v,... and --wl-spec-file FILE.
-     *  Validates numeric ranges (scale, init-scale, threads) before
-     *  returning. Exits on --help. */
-    static BenchOptions parse(int argc, char **argv);
+    /** Parse argv: the spec flags in @p spec_flags (see RunSpec) plus
+     *  --jobs N, --json FILE, --no-trace-cache, --no-cycle-skip,
+     *  --stats-interval N, --stats-out FILE, --trace-events FILE,
+     *  --trace-categories LIST, --tx-stats FILE, --tx-slowest K,
+     *  --check and --check-mutate N. Exits on --help. */
+    static BenchOptions parse(int argc, char **argv,
+                              unsigned spec_flags = specflag::Bench);
 
-    /** Baseline config with the options applied. */
-    SystemConfig makeConfig() const;
+    /** The --help lines for what parse() accepts. */
+    static void printHelp(std::ostream &os, unsigned spec_flags);
 
-    /** The generated-workload spec: the spec file (if any) with the
-     *  inline --wl-spec applied on top. Defaults when neither is set. */
-    wlgen::GenSpec genSpec() const;
+    /** @p run's machine with this run control applied. */
+    SystemConfig makeConfig(const RunSpec &run) const;
 };
 
-/** Run one (scheme, workload) pair to completion. When cfg.obs.txStats
- *  names a file and the run produced a flight-recorder summary, the
- *  single-run tx-stats file is written here; batches clear the per-job
- *  path and combine rows instead (see ParallelRunner). */
-RunResult runExperiment(SystemConfig cfg, LogScheme scheme,
-                        WorkloadKind kind, const BenchOptions &opts,
-                        const WorkloadExtras &extras = {});
+/** Run @p spec to completion. When opts.txStats names a file and the
+ *  run produced a flight-recorder summary, the single-run tx-stats
+ *  file is written here; batches set txTrack instead and combine rows
+ *  (see ParallelRunner). */
+RunResult runExperiment(const RunSpec &spec, const BenchOptions &opts);
 
 /** Bind a run's flight-recorder summary to its identity for
  *  serialization (no-op row with a default summary if the recorder
  *  did not run). */
-obs::TxStatsRow makeTxStatsRow(const BenchOptions &opts, LogScheme scheme,
-                               WorkloadKind kind, const RunResult &result);
+obs::TxStatsRow makeTxStatsRow(const RunSpec &spec,
+                               const RunResult &result);
 
 /** Geometric mean of @p values (which must be positive). */
 double geomean(const std::vector<double> &values);

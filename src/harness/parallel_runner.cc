@@ -152,27 +152,23 @@ ParallelRunner::run(const std::vector<SimJob> &batch,
     tasks.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
         tasks.push_back(Task{batch[i].label, [&, i]() {
-            SimJob job = batch[i];
+            BenchOptions job = opts;
             if (batch.size() > 1) {
                 // Observability outputs must not collide across jobs:
                 // derive a per-job file name from the submission index
                 // (deterministic, so --jobs N matches --jobs 1).
-                job.cfg.obs.statsOut =
-                    perJobPath(job.cfg.obs.statsOut, i);
-                job.cfg.obs.traceEvents =
-                    perJobPath(job.cfg.obs.traceEvents, i);
+                job.statsOut = perJobPath(job.statsOut, i);
+                job.traceEvents = perJobPath(job.traceEvents, i);
             }
-            if (!job.cfg.obs.txStats.empty()) {
+            if (!job.txStats.empty()) {
                 // Keep the recorder on but suppress the per-run file:
                 // runBatch combines every job's summary into ONE file
                 // in submission order, so the bytes are identical at
                 // any --jobs level.
-                job.cfg.obs.txTrack = true;
-                job.cfg.obs.txStats.clear();
+                job.txTrack = true;
+                job.txStats.clear();
             }
-            results[i].result = runExperiment(job.cfg, job.scheme,
-                                              job.kind, opts,
-                                              job.extras);
+            results[i].result = runExperiment(batch[i].spec, job);
         }});
     }
     const std::vector<double> wallMs = runTasks(tasks, progress);

@@ -1,8 +1,7 @@
 /**
  * @file
  * A fixed-size thread pool that runs batches of independent simulation
- * jobs — one FullSystem per (SystemConfig, LogScheme, WorkloadKind)
- * triple — concurrently.
+ * jobs — one FullSystem per RunSpec — concurrently.
  *
  * Every FullSystem is a self-contained deterministic machine (its own
  * Simulator, stats registry, heap, and per-thread RNGs seeded from the
@@ -35,10 +34,7 @@ std::string perJobPath(const std::string &path, std::size_t index);
 /** One independent simulation to run. */
 struct SimJob
 {
-    SystemConfig cfg;
-    LogScheme scheme;
-    WorkloadKind kind;
-    WorkloadExtras extras{};
+    RunSpec spec;
     std::string label;          ///< progress text, e.g. "Proteus / QE"
 };
 
@@ -104,9 +100,10 @@ class ParallelRunner
 
     /**
      * Run @p batch to completion and return per-job results in
-     * submission order. @p opts supplies the workload parameters shared
-     * by every job (threads, scale, seed). The first job exception (in
-     * submission order) is rethrown after the batch drains.
+     * submission order. @p opts supplies the run control shared by
+     * every job (output files, cycle skipping, checking). The first
+     * job exception (in submission order) is rethrown after the batch
+     * drains.
      */
     std::vector<SimJobResult> run(const std::vector<SimJob> &batch,
                                   const BenchOptions &opts,

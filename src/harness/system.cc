@@ -12,6 +12,10 @@ FullSystem::FullSystem(const SystemConfig &cfg, WorkloadKind kind,
 {
     if (params.threads > cfg.cores)
         fatal("FullSystem: workload threads exceed core count");
+    if (params.logAreaBytes != cfg.logging.logAreaBytes)
+        fatal("FullSystem: workload log area of ", params.logAreaBytes,
+              " bytes does not match config logging.logAreaBytes=",
+              cfg.logging.logAreaBytes);
     _cfg.cores = params.threads;    // one trace per core
 
     TraceBundleKey key;
@@ -42,6 +46,11 @@ FullSystem::FullSystem(const SystemConfig &cfg,
         fatal("FullSystem: bundle scheme ", toString(bundle->key.scheme),
               " does not match config scheme ",
               toString(_cfg.logging.scheme));
+    if (bundle->key.params.logAreaBytes != _cfg.logging.logAreaBytes)
+        fatal("FullSystem: bundle log area of ",
+              bundle->key.params.logAreaBytes,
+              " bytes does not match config logging.logAreaBytes=",
+              _cfg.logging.logAreaBytes);
     const unsigned threads = bundle->key.params.threads;
     if (threads > _cfg.cores)
         fatal("FullSystem: bundle threads exceed core count");

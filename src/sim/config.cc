@@ -49,6 +49,14 @@ parseScheme(const std::string &name)
     return it->second;
 }
 
+std::vector<LogScheme>
+allLogSchemes()
+{
+    return {LogScheme::PMEM,      LogScheme::PMEMPCommit,
+            LogScheme::PMEMNoLog, LogScheme::ATOM,
+            LogScheme::Proteus,   LogScheme::ProteusNoLWR};
+}
+
 bool
 isSoftwareScheme(LogScheme scheme)
 {

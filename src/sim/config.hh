@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "faults/fault_config.hh"
 #include "types.hh"
@@ -35,6 +36,9 @@ const char *toString(LogScheme scheme);
 
 /** Parse a scheme name (case-insensitive); throws FatalError if unknown. */
 LogScheme parseScheme(const std::string &name);
+
+/** Every scheme, in Figure 6 order. */
+std::vector<LogScheme> allLogSchemes();
 
 /** @return true if the scheme uses software-generated logging code. */
 bool isSoftwareScheme(LogScheme scheme);

@@ -206,6 +206,8 @@ std::vector<WorkloadKind> allPaperWorkloads();
 struct LinkedListOptions
 {
     unsigned elementsPerNode = 1024;
+
+    bool operator==(const LinkedListOptions &) const = default;
 };
 
 /** Workload-specific knobs beyond WorkloadParams; defaults are valid

@@ -278,10 +278,10 @@ BenchOptions
 checkOpts()
 {
     BenchOptions opts;
-    opts.scale = 1600;      // small but exercises every protocol path
-    opts.initScale = 100;
-    opts.threads = 2;
-    opts.seed = 1;
+    opts.spec.scale = 1600;      // small but exercises every protocol path
+    opts.spec.initScale = 100;
+    opts.spec.threads = 2;
+    opts.spec.seed = 1;
     return opts;
 }
 
@@ -354,7 +354,7 @@ TEST(AnalysisMutation, EveryArmedRuleFiresOnProteus)
     // Proteus arms all six rules, so one campaign covers the full set.
     BenchOptions opts = checkOpts();
     const auto rows = runMutationCampaign(
-        LogScheme::Proteus, WorkloadKind::Queue, opts,
+        opts.spec.with(LogScheme::Proteus, WorkloadKind::Queue), opts,
         /*mutate_seed=*/1);
     ASSERT_EQ(analysis::numRules, rows.size());
     for (const MutationRow &row : rows) {
@@ -372,7 +372,8 @@ TEST(AnalysisMutation, SoftwareSchemeCampaignFires)
 {
     BenchOptions opts = checkOpts();
     const auto rows = runMutationCampaign(
-        LogScheme::PMEM, WorkloadKind::Queue, opts, /*mutate_seed=*/2);
+        opts.spec.with(LogScheme::PMEM, WorkloadKind::Queue), opts,
+        /*mutate_seed=*/2);
     ASSERT_EQ(4u, rows.size());     // no marker/LPQ rules under PMEM
     for (const MutationRow &row : rows)
         EXPECT_TRUE(row.fired) << toString(row.rule);

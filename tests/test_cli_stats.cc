@@ -89,20 +89,26 @@ TEST(BenchOptionsParse, RecognizesAllFlags)
     const char *argv[] = {"prog",    "--scale",      "25",
                           "--threads", "2",          "--seed",
                           "9",       "--init-scale", "4",
-                          "--dram",  "--set",        "memCtrl.adr=false"};
+                          "--dram",  "--set",  "logging.logQEntries=8"};
     BenchOptions opts = BenchOptions::parse(
         static_cast<int>(std::size(argv)),
         const_cast<char **>(argv));
-    EXPECT_EQ(opts.scale, 25u);
-    EXPECT_EQ(opts.threads, 2u);
-    EXPECT_EQ(opts.seed, 9u);
-    EXPECT_EQ(opts.initScale, 4u);
-    EXPECT_TRUE(opts.dram);
+    EXPECT_EQ(opts.spec.scale, 25u);
+    EXPECT_EQ(opts.spec.threads, 2u);
+    EXPECT_EQ(opts.spec.seed, 9u);
+    EXPECT_EQ(opts.spec.initScale, 4u);
+    EXPECT_TRUE(opts.spec.dram);
 
-    const SystemConfig cfg = opts.makeConfig();
+    const SystemConfig cfg = opts.makeConfig(opts.spec);
     EXPECT_FALSE(cfg.mem.nvmMode);      // --dram
-    EXPECT_FALSE(cfg.memCtrl.adr);      // --set override
+    EXPECT_EQ(cfg.logging.logQEntries, 8u);     // --set override
     EXPECT_EQ(cfg.seed, 9u);
+    EXPECT_EQ(cfg.cores, 2u);           // one core per thread
+
+    // ADR follows the scheme, so --set memCtrl.adr is rejected.
+    const char *adr[] = {"prog", "--set", "memCtrl.adr=false"};
+    EXPECT_THROW(BenchOptions::parse(3, const_cast<char **>(adr)),
+                 FatalError);
 }
 
 TEST(BenchOptionsParse, ObservabilityFlags)
@@ -115,7 +121,7 @@ TEST(BenchOptionsParse, ObservabilityFlags)
     BenchOptions opts = BenchOptions::parse(
         static_cast<int>(std::size(argv)),
         const_cast<char **>(argv));
-    const SystemConfig cfg = opts.makeConfig();
+    const SystemConfig cfg = opts.makeConfig(opts.spec);
     EXPECT_EQ(cfg.obs.statsInterval, 1000u);
     EXPECT_EQ(cfg.obs.statsOut, "iv.json");
     EXPECT_EQ(cfg.obs.traceEvents, "trace.json");
@@ -128,7 +134,7 @@ TEST(BenchOptionsParse, StatsIntervalWithoutOutIsFatal)
     const char *argv[] = {"prog", "--stats-interval", "100"};
     BenchOptions opts = BenchOptions::parse(
         3, const_cast<char **>(argv));
-    EXPECT_THROW(opts.makeConfig(), FatalError);
+    EXPECT_THROW(opts.makeConfig(opts.spec), FatalError);
 }
 
 TEST(BenchOptionsParse, UnknownFlagIsFatal)

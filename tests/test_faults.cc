@@ -728,11 +728,11 @@ TEST(FaultDeterminism, RunResultsIdenticalAcrossJobsAndCycleSkip)
     // Batch --json / --tx-stats serializations must be byte-identical
     // across --jobs levels and cycle-skip modes with faults injected.
     BenchOptions opts;
-    opts.threads = 1;
-    opts.scale = 400;
-    opts.initScale = 100;
-    opts.seed = 3;
-    opts.faults = spec("torn=0.02,readflip=0.01,detect=8,correct=1");
+    opts.spec.threads = 1;
+    opts.spec.scale = 400;
+    opts.spec.initScale = 100;
+    opts.spec.seed = 3;
+    opts.spec.faults = spec("torn=0.02,readflip=0.01,detect=8,correct=1");
 
     auto batch = [&](unsigned jobs, bool skip) {
         BenchOptions o = opts;
@@ -742,8 +742,8 @@ TEST(FaultDeterminism, RunResultsIdenticalAcrossJobsAndCycleSkip)
         for (LogScheme s : {LogScheme::Proteus, LogScheme::PMEM}) {
             for (WorkloadKind w :
                  {WorkloadKind::Queue, WorkloadKind::HashMap}) {
-                jobsv.push_back(SimJob{o.makeConfig(), s, w, {},
-                                       std::string(toString(s))});
+                jobsv.push_back(
+                    SimJob{o.spec.with(s, w), std::string(toString(s))});
             }
         }
         ParallelRunner runner(jobs);
@@ -752,12 +752,11 @@ TEST(FaultDeterminism, RunResultsIdenticalAcrossJobsAndCycleSkip)
         std::vector<JsonResultRow> rows;
         std::vector<obs::TxStatsRow> txRows;
         for (std::size_t i = 0; i < jobsv.size(); ++i) {
-            rows.push_back(JsonResultRow{toString(jobsv[i].scheme),
-                                         toString(jobsv[i].kind),
+            rows.push_back(JsonResultRow{toString(jobsv[i].spec.scheme),
+                                         toString(jobsv[i].spec.kind),
                                          results[i].result, 0.0});
-            txRows.push_back(makeTxStatsRow(o, jobsv[i].scheme,
-                                            jobsv[i].kind,
-                                            results[i].result));
+            txRows.push_back(
+                makeTxStatsRow(jobsv[i].spec, results[i].result));
         }
         const std::string path = ::testing::TempDir() + "faults_rr.json";
         writeJsonResults(path, rows);

@@ -80,11 +80,11 @@ RunResult
 runCell(LogScheme scheme, WorkloadKind kind)
 {
     BenchOptions opts;
-    opts.scale = 2000;
-    opts.initScale = 200;
-    opts.threads = 2;
-    opts.seed = 1;
-    return runExperiment(baselineConfig(), scheme, kind, opts);
+    opts.spec.scale = 2000;
+    opts.spec.initScale = 200;
+    opts.spec.threads = 2;
+    opts.spec.seed = 1;
+    return runExperiment(opts.spec.with(scheme, kind), opts);
 }
 
 /** The one generated-workload spec pinned by the golden file. */
@@ -92,15 +92,14 @@ RunResult
 runGenCell(LogScheme scheme)
 {
     BenchOptions opts;
-    opts.scale = 1;
-    opts.initScale = 1;
-    opts.threads = 2;
-    opts.seed = 1;
-    opts.wlSpec = "dist=zipf,theta=0.9,keyspace=4096,ops=500";
-    WorkloadExtras extras;
-    extras.gen = opts.genSpec();
-    return runExperiment(baselineConfig(), scheme,
-                         WorkloadKind::Generated, opts, extras);
+    opts.spec.scale = 1;
+    opts.spec.initScale = 1;
+    opts.spec.threads = 2;
+    opts.spec.seed = 1;
+    opts.spec.gen =
+        wlgen::GenSpec::parse("dist=zipf,theta=0.9,keyspace=4096,ops=500");
+    return runExperiment(opts.spec.with(scheme, WorkloadKind::Generated),
+                         opts);
 }
 
 /** golden file line: "<scheme> <workload> k=v k=v ..." */

@@ -23,10 +23,10 @@ BenchOptions
 tinyOptions()
 {
     BenchOptions opts;
-    opts.threads = 2;
-    opts.scale = 500;       // divide Table 2 SimOps: tiny run
-    opts.initScale = 100;
-    opts.seed = 3;
+    opts.spec.threads = 2;
+    opts.spec.scale = 500;       // divide Table 2 SimOps: tiny run
+    opts.spec.initScale = 100;
+    opts.spec.seed = 3;
     return opts;
 }
 
@@ -40,7 +40,7 @@ smallMatrix(const BenchOptions &opts)
     std::vector<SimJob> jobs;
     for (LogScheme s : schemes) {
         for (WorkloadKind w : workloads)
-            jobs.push_back(SimJob{opts.makeConfig(), s, w, {},
+            jobs.push_back(SimJob{opts.spec.with(s, w),
                                   std::string(toString(s)) + " / " +
                                       toString(w)});
     }

@@ -115,19 +115,18 @@ TEST(TraceCache, ConcurrentLookupsBuildOnce)
 TEST(TraceCache, CachedExperimentMatchesUncached)
 {
     BenchOptions opts;
-    opts.scale = 2000;
-    opts.initScale = 200;
-    opts.threads = 2;
+    opts.spec.scale = 2000;
+    opts.spec.initScale = 200;
+    opts.spec.threads = 2;
 
     for (const LogScheme scheme :
          {LogScheme::PMEM, LogScheme::ATOM, LogScheme::Proteus}) {
         SCOPED_TRACE(toString(scheme));
+        const RunSpec spec = opts.spec.with(scheme, WorkloadKind::Queue);
         opts.traceCache = true;
-        const RunResult cached = runExperiment(
-            baselineConfig(), scheme, WorkloadKind::Queue, opts);
+        const RunResult cached = runExperiment(spec, opts);
         opts.traceCache = false;
-        const RunResult uncached = runExperiment(
-            baselineConfig(), scheme, WorkloadKind::Queue, opts);
+        const RunResult uncached = runExperiment(spec, opts);
 
         EXPECT_EQ(cached.cycles, uncached.cycles);
         EXPECT_EQ(cached.retiredOps, uncached.retiredOps);

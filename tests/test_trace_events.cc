@@ -67,10 +67,10 @@ BenchOptions
 tinyOptions()
 {
     BenchOptions opts;
-    opts.threads = 2;
-    opts.scale = 500;
-    opts.initScale = 100;
-    opts.seed = 3;
+    opts.spec.threads = 2;
+    opts.spec.scale = 500;
+    opts.spec.initScale = 100;
+    opts.spec.seed = 3;
     return opts;
 }
 
@@ -181,17 +181,16 @@ TEST(TraceEvents, FullSystemFileIsValidAndCycleOrderedPerTrack)
 
 TEST(TraceEvents, ParallelBatchProducesIdenticalFiles)
 {
-    const BenchOptions opts = tinyOptions();
+    BenchOptions opts = tinyOptions();
     const std::string base =
         testing::TempDir() + "/proteus_trace_jobs.json";
+    opts.traceEvents = base;
 
     std::vector<SimJob> jobs;
     for (LogScheme s : {LogScheme::PMEM, LogScheme::Proteus,
                         LogScheme::ATOM}) {
-        SystemConfig cfg = opts.makeConfig();
-        cfg.obs.traceEvents = base;
-        jobs.push_back(SimJob{cfg, s, WorkloadKind::Queue, {},
-                              toString(s)});
+        jobs.push_back(
+            SimJob{opts.spec.with(s, WorkloadKind::Queue), toString(s)});
     }
 
     auto run_and_read = [&](unsigned workers) {

@@ -63,10 +63,10 @@ BenchOptions
 tinyOptions()
 {
     BenchOptions opts;
-    opts.threads = 2;
-    opts.scale = 500;
-    opts.initScale = 100;
-    opts.seed = 3;
+    opts.spec.threads = 2;
+    opts.spec.scale = 500;
+    opts.spec.initScale = 100;
+    opts.spec.seed = 3;
     return opts;
 }
 
@@ -252,13 +252,12 @@ TEST(TxStats, MergeMatchesCombinedDistribution)
 
 TEST(TxStats, EndToEndCpiCrossCheck)
 {
-    const BenchOptions opts = tinyOptions();
+    BenchOptions opts = tinyOptions();
+    opts.txTrack = true;
     for (LogScheme scheme :
          {LogScheme::PMEM, LogScheme::ATOM, LogScheme::Proteus}) {
-        SystemConfig cfg = opts.makeConfig();
-        cfg.obs.txTrack = true;
-        const RunResult r = runExperiment(cfg, scheme,
-                                          WorkloadKind::Queue, opts);
+        const RunResult r = runExperiment(
+            opts.spec.with(scheme, WorkloadKind::Queue), opts);
         ASSERT_TRUE(r.finished) << toString(scheme);
         ASSERT_TRUE(r.txStats) << toString(scheme);
         const obs::TxStatsSummary &s = *r.txStats;
@@ -310,14 +309,14 @@ TEST(TxStats, FileBitIdenticalAcrossCycleSkip)
         testing::TempDir() + "/proteus_txstats_noskip.json";
 
     BenchOptions opts = tinyOptions();
+    const RunSpec spec =
+        opts.spec.with(LogScheme::Proteus, WorkloadKind::Queue);
     opts.txStats = path_skip;
-    SystemConfig cfg = opts.makeConfig();
-    runExperiment(cfg, LogScheme::Proteus, WorkloadKind::Queue, opts);
+    runExperiment(spec, opts);
 
     opts.cycleSkip = false;
     opts.txStats = path_noskip;
-    cfg = opts.makeConfig();
-    runExperiment(cfg, LogScheme::Proteus, WorkloadKind::Queue, opts);
+    runExperiment(spec, opts);
 
     const std::string a = slurp(path_skip);
     const std::string b = slurp(path_noskip);
@@ -342,22 +341,21 @@ TEST(TxStats, FileBitIdenticalAcrossCycleSkip)
 
 TEST(ParallelRunner, TxStatsDeterminism)
 {
-    const BenchOptions opts = tinyOptions();
+    BenchOptions opts = tinyOptions();
     const std::vector<LogScheme> schemes{LogScheme::PMEM,
                                          LogScheme::Proteus};
     const std::vector<WorkloadKind> workloads{WorkloadKind::Queue,
                                               WorkloadKind::BTree};
-    // The per-job config carries a tx-stats path; the runner must
-    // suppress the per-job file (forcing in-memory tracking) so the
-    // batch writer emits ONE combined file in submission order.
+    // The options carry a tx-stats path; the runner must suppress
+    // the per-job file (forcing in-memory tracking) so the batch
+    // writer emits ONE combined file in submission order.
     const std::string stray =
         testing::TempDir() + "/proteus_txstats_stray.json";
+    opts.txStats = stray;
     std::vector<SimJob> jobs;
     for (LogScheme s : schemes) {
         for (WorkloadKind w : workloads) {
-            SystemConfig cfg = opts.makeConfig();
-            cfg.obs.txStats = stray;
-            jobs.push_back(SimJob{cfg, s, w, {},
+            jobs.push_back(SimJob{opts.spec.with(s, w),
                                   std::string(toString(s)) + " / " +
                                       toString(w)});
         }
@@ -374,8 +372,8 @@ TEST(ParallelRunner, TxStatsDeterminism)
         std::size_t i = 0;
         for (LogScheme s : schemes)
             for (WorkloadKind w : workloads)
-                rows.push_back(
-                    makeTxStatsRow(opts, s, w, results[i++].result));
+                rows.push_back(makeTxStatsRow(opts.spec.with(s, w),
+                                              results[i++].result));
         obs::writeTxStatsFile(path, rows);
     };
     const std::string path_1 =

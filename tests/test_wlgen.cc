@@ -423,10 +423,10 @@ BenchOptions
 smallBench()
 {
     BenchOptions opts;
-    opts.scale = 1;
-    opts.initScale = 1;
-    opts.threads = 2;
-    opts.wlSpec = "keyspace=512,ops=300";
+    opts.spec.scale = 1;
+    opts.spec.initScale = 1;
+    opts.spec.threads = 2;
+    opts.spec.gen = GenSpec::parse("keyspace=512,ops=300");
     return opts;
 }
 
@@ -437,13 +437,10 @@ genJobs(const BenchOptions &opts)
     for (LogScheme s : {LogScheme::PMEM, LogScheme::Proteus}) {
         for (const char *delta :
              {"dist=zipf,theta=0.9", "dist=uniform"}) {
-            WorkloadExtras extras;
-            extras.gen =
-                GenSpec::parse(delta, opts.genSpec());
-            jobs.push_back(SimJob{opts.makeConfig(), s,
-                                  WorkloadKind::Generated, extras,
-                                  std::string(toString(s)) + " " +
-                                      delta});
+            RunSpec spec = opts.spec.with(s, WorkloadKind::Generated);
+            spec.gen = GenSpec::parse(delta, opts.spec.gen);
+            jobs.push_back(
+                SimJob{spec, std::string(toString(s)) + " " + delta});
         }
     }
     return jobs;
@@ -481,14 +478,10 @@ TEST(WlgenDeterminism, CycleSkippingDoesNotChangeResults)
     BenchOptions slow = smallBench();
     slow.cycleSkip = false;
 
-    WorkloadExtras extras;
-    extras.gen = fast.genSpec();
-    const RunResult a =
-        runExperiment(fast.makeConfig(), LogScheme::Proteus,
-                      WorkloadKind::Generated, fast, extras);
-    const RunResult b =
-        runExperiment(slow.makeConfig(), LogScheme::Proteus,
-                      WorkloadKind::Generated, slow, extras);
+    const RunSpec spec =
+        fast.spec.with(LogScheme::Proteus, WorkloadKind::Generated);
+    const RunResult a = runExperiment(spec, fast);
+    const RunResult b = runExperiment(spec, slow);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.retiredOps, b.retiredOps);
     EXPECT_EQ(a.nvmWrites, b.nvmWrites);
@@ -508,7 +501,7 @@ TEST(WlgenDeterminism, JsonBytesIdenticalAcrossJobsLevels)
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             // Omit wall-clock: it is host timing, not simulation
             // output, and the JSON writer includes it.
-            rows.push_back(JsonResultRow{toString(jobs[i].scheme),
+            rows.push_back(JsonResultRow{toString(jobs[i].spec.scheme),
                                          jobs[i].label,
                                          results[i].result, 0.0});
         }

@@ -52,64 +52,36 @@ usage()
         << "  --json FILE        deterministic JSON verdict (no "
         << "wall-clock)\n"
         << "  --jobs N           host worker threads (0 = all cores)\n"
-        << "  --scale N          divide Table 2 SimOps (default 200)\n"
-        << "  --init-scale N     divide Table 2 InitOps (default 1)\n"
-        << "  --threads N        simulated cores (default 4)\n"
-        << "  --seed N           workload RNG seed\n"
-        << "  --dram             DRAM timing (Section 7.2)\n"
-        << "  --set k=v          config override\n"
         << "  --no-cycle-skip    tick every cycle (verdicts are "
-        << "bit-identical)\n"
-        << "  --wl-spec k=v,...  generated-workload spec (workload "
-        << "'gen')\n";
+        << "bit-identical)\n";
+    RunSpec::printFlags(std::cout, specflag::Bench, RunSpec{});
     return 2;
 }
 
-/** Options BenchOptions::parse does not know about. */
-struct CliExtras
+/** The --scheme list (empty = all), which BenchOptions does not
+ *  parse: it takes `all` as well as one scheme. */
+std::vector<LogScheme>
+extractSchemes(std::vector<char *> &args)
 {
-    std::vector<LogScheme> schemes;     ///< empty = all
-    long mutateSeed = -1;               ///< --check-mutate N (-1 = off)
-};
-
-CliExtras
-extractExtras(std::vector<char *> &args)
-{
-    CliExtras extras;
+    std::vector<LogScheme> schemes;
     for (std::size_t i = 1; i < args.size();) {
-        const std::string arg = args[i];
-        auto take_value = [&](unsigned count) {
-            args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                       args.begin() +
-                           static_cast<std::ptrdiff_t>(i + count));
-        };
-        if (arg == "--scheme" && i + 1 < args.size()) {
+        if (std::string(args[i]) == "--scheme" && i + 1 < args.size()) {
             if (std::string(args[i + 1]) != "all")
-                extras.schemes.push_back(parseScheme(args[i + 1]));
-            take_value(2);
-        } else if (arg == "--check-mutate" && i + 1 < args.size()) {
-            extras.mutateSeed = std::stol(args[i + 1]);
-            take_value(2);
+                schemes.push_back(parseScheme(args[i + 1]));
+            args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
+                       args.begin() + static_cast<std::ptrdiff_t>(i + 2));
         } else {
             ++i;
         }
     }
-    return extras;
-}
-
-std::vector<LogScheme>
-allSchemes()
-{
-    return {LogScheme::PMEM,  LogScheme::PMEMPCommit,
-            LogScheme::PMEMNoLog, LogScheme::ATOM,
-            LogScheme::Proteus,   LogScheme::ProteusNoLWR};
+    return schemes;
 }
 
 int
-cmdRules(const CliExtras &extras)
+cmdRules(std::vector<LogScheme> schemes)
 {
-    const auto schemes =
-        extras.schemes.empty() ? allSchemes() : extras.schemes;
+    if (schemes.empty())
+        schemes = allLogSchemes();
     std::cout << "rules:\n";
     for (unsigned r = 0; r < analysis::numRules; ++r) {
         const auto rule = static_cast<analysis::Rule>(r);
@@ -118,8 +90,8 @@ cmdRules(const CliExtras &extras)
     }
     std::cout << "\narmed per scheme (with a recorded write history):\n";
     for (LogScheme s : schemes) {
-        const bool adr = s != LogScheme::PMEMPCommit;
-        const auto armed = analysis::rulesForScheme(s, adr, true);
+        const auto armed =
+            analysis::rulesForScheme(s, adrForScheme(s), true);
         std::cout << "  " << toString(s) << ":";
         for (unsigned r = 0; r < analysis::numRules; ++r) {
             if (armed[r]) {
@@ -134,29 +106,25 @@ cmdRules(const CliExtras &extras)
 }
 
 int
-cmdRun(const std::vector<WorkloadKind> &kinds, const CliExtras &extras,
-       const BenchOptions &opts)
+cmdRun(const std::vector<WorkloadKind> &kinds,
+       std::vector<LogScheme> schemes, const BenchOptions &opts)
 {
-    const auto schemes =
-        extras.schemes.empty() ? allSchemes() : extras.schemes;
+    if (schemes.empty())
+        schemes = allLogSchemes();
 
-    if (extras.mutateSeed >= 0) {
+    if (opts.checkMutate >= 0) {
         // Mutation campaign: every (scheme, workload) pair must catch
         // every armed rule's injected violation.
+        const auto seed = static_cast<std::uint64_t>(opts.checkMutate);
         bool all_ok = true;
         std::string json;
         for (LogScheme scheme : schemes) {
             for (WorkloadKind kind : kinds) {
                 ProgressReporter progress(std::cerr);
                 const auto rows = runMutationCampaign(
-                    scheme, kind, opts,
-                    static_cast<std::uint64_t>(extras.mutateSeed),
-                    &progress);
+                    opts.spec.with(scheme, kind), opts, seed, &progress);
                 std::cout << formatMutationReport(scheme, kind, rows);
-                json += mutationRowsJson(
-                    scheme, kind,
-                    static_cast<std::uint64_t>(extras.mutateSeed),
-                    rows);
+                json += mutationRowsJson(scheme, kind, seed, rows);
                 all_ok = all_ok && allFired(rows);
             }
         }
@@ -177,9 +145,8 @@ cmdRun(const std::vector<WorkloadKind> &kinds, const CliExtras &extras,
 int
 cmdReplay(const std::string &path, const BenchOptions &opts)
 {
-    const auto bundle = loadTraceBundle(path);
-    const CheckRow row = runCheckOnBundle(
-        bundle, opts, "proteus-check replay " + path);
+    const CheckRow row =
+        runCheckOnBundle(loadTraceBundle(path), opts, path);
     std::cout << formatCheckReport(row);
     if (!opts.jsonPath.empty())
         writeJsonFile(opts.jsonPath, checkRowsJson({row}));
@@ -213,11 +180,11 @@ main(int argc, char **argv)
         args.push_back(argv[0]);
         for (int i = takes_operand ? 3 : 2; i < argc; ++i)
             args.push_back(argv[i]);
-        const CliExtras extras = extractExtras(args);
+        const std::vector<LogScheme> schemes = extractSchemes(args);
         const BenchOptions opts = BenchOptions::parse(
             static_cast<int>(args.size()), args.data());
         if (command == "rules")
-            return cmdRules(extras);
+            return cmdRules(schemes);
         if (command == "replay")
             return cmdReplay(argv[2], opts);
         const std::string operand = argv[2];
@@ -225,7 +192,7 @@ main(int argc, char **argv)
             operand == "all" ? allPaperWorkloads()
                              : std::vector<WorkloadKind>{
                                    parseWorkload(operand)};
-        return cmdRun(kinds, extras, opts);
+        return cmdRun(kinds, schemes, opts);
     } catch (const FatalError &e) {
         std::cerr << e.what() << "\n";
         return 1;

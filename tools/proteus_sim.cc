@@ -8,28 +8,29 @@
  *   proteus-sim matrix [--jobs N] [--json FILE]
  *   proteus-sim list
  *
- * plus the shared options every harness binary takes: --scale,
- * --init-scale, --threads, --seed, --dram, --set key=value, and the
- * observability flags --stats-interval/--stats-out/--trace-events/
- * --trace-categories.
+ * plus the options every harness binary takes (BenchOptions): the run
+ * spec flags and the observability and checking flags.
  */
 
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <vector>
 
+#include "crashtest/crash_tester.hh"
 #include "harness/check_runner.hh"
 #include "harness/experiments.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/system.hh"
 #include "harness/trace_io.hh"
-#include "recovery/recovery.hh"
 #include "sim/logging.hh"
 #include "workloads/registry.hh"
 
 using namespace proteus;
 
 namespace {
+
+/** Spec flags run/crash/replay accept (matrix: all but --scheme). */
+constexpr unsigned simFlags = specflag::Bench | specflag::Scheme;
 
 int
 usage()
@@ -45,62 +46,21 @@ usage()
         << "  list               show workloads and schemes\n"
         << "  --list-workloads   show every workload with its extra "
         << "knobs\n\n"
-        << "options (run/crash):\n"
-        << "  --scheme S         pmem | pmem+pcommit | pmem+nolog |\n"
-        << "                     atom | proteus | proteus+nolwr\n"
-        << "  --at PERCENT       crash point as %% of the full run "
+        << "options (run/replay/crash):\n"
+        << "  --at PERCENT       crash point as % of the full run "
         << "(crash; default 50)\n"
         << "  --stats            dump the full statistics registry\n"
-        << "  --json             dump statistics as JSON\n"
-        << "  --scale N          divide Table 2 SimOps (default 200)\n"
-        << "  --init-scale N     divide Table 2 InitOps (default 1)\n"
-        << "  --threads N        simulated cores (default 4)\n"
-        << "  --seed N           workload RNG seed\n"
-        << "  --dram             DRAM timing (Section 7.2)\n"
-        << "  --set k=v          config override\n"
-        << "  --no-cycle-skip    tick every cycle instead of skipping "
-        << "quiescent spans (same results, slower)\n"
-        << "  --check            arm the persistency-order checker "
-        << "(see proteus-check);\n"
-        << "                     any ordering violation fails the run\n"
-        << "  --check-mutate N   seeded mutation campaign (run): every "
-        << "armed rule must\n"
-        << "                     catch one injected violation\n"
-        << "  --faults SPEC      NVM media fault injection: comma list "
-        << "of torn=RATE,\n"
-        << "                     readflip=RATE, bits=N, endurance=N, "
-        << "stuck=N, detect=N,\n"
-        << "                     correct=N, retries=N, backoff=N, "
-        << "seed=N (default: off)\n"
-        << "  --fault-seed N     fault-draw seed (default 1)\n"
-        << "  --wl-spec k=v,...  generated-workload spec (workload "
-        << "'gen')\n"
-        << "  --wl-spec-file F   spec file; --wl-spec overrides on "
-        << "top\n\n"
-        << "observability (run/crash/matrix):\n"
-        << "  --stats-interval N sample scalar-stat deltas every N "
-        << "cycles\n"
-        << "  --stats-out FILE   interval time series (.json or .csv)\n"
-        << "  --trace-events FILE\n"
-        << "                     Chrome Trace Event JSON; open in "
-        << "Perfetto (ui.perfetto.dev)\n"
-        << "  --trace-categories LIST\n"
-        << "                     comma list of cpu,memctrl,log,lock,all"
-        << " (default all)\n"
-        << "  --tx-stats FILE    transaction flight-recorder summary "
-        << "(.json or .csv; see proteus-txstats)\n"
-        << "  --tx-slowest K     retain full timelines for the K "
-        << "slowest transactions (default 8)\n\n"
-        << "options (matrix):\n"
-        << "  --jobs N           host worker threads (0 = all cores)\n"
-        << "  --json FILE        write per-run result rows as JSON\n";
+        << "  --json             dump statistics as JSON (matrix: "
+        << "--json FILE)\n"
+        << "replay takes the workload, scheme and sizing from the file."
+        << "\n\n";
+    BenchOptions::printHelp(std::cout, simFlags);
     return 2;
 }
 
 /** Options the harness parser does not know about. */
 struct CliExtras
 {
-    LogScheme scheme = LogScheme::Proteus;
     unsigned crashPercent = 50;
     bool stats = false;
     bool json = false;
@@ -118,10 +78,7 @@ extractExtras(std::vector<char *> &args)
                        args.begin() +
                            static_cast<std::ptrdiff_t>(i + count));
         };
-        if (arg == "--scheme" && i + 1 < args.size()) {
-            extras.scheme = parseScheme(args[i + 1]);
-            take_value(2);
-        } else if (arg == "--at" && i + 1 < args.size()) {
+        if (arg == "--at" && i + 1 < args.size()) {
             extras.crashPercent = static_cast<unsigned>(
                 std::stoul(args[i + 1]));
             take_value(2);
@@ -175,12 +132,8 @@ cmdList()
     for (const WorkloadRegistration &reg : workloadRegistry())
         std::cout << "  " << reg.abbrev << " (" << reg.summary << ")\n";
     std::cout << "\nschemes (Figure 6):\n";
-    for (LogScheme s :
-         {LogScheme::PMEM, LogScheme::PMEMPCommit,
-          LogScheme::PMEMNoLog, LogScheme::ATOM, LogScheme::Proteus,
-          LogScheme::ProteusNoLWR}) {
+    for (LogScheme s : allLogSchemes())
         std::cout << "  " << toString(s) << "\n";
-    }
     return 0;
 }
 
@@ -195,127 +148,88 @@ cmdListWorkloads()
     return 0;
 }
 
+/** Simulate opts.spec to completion, or the .ptrace bundle at
+ *  @p path when it is not empty, and print the run report. */
 int
-cmdRun(WorkloadKind kind, const CliExtras &extras,
-       const BenchOptions &opts)
+cmdRun(const std::string &path, const CliExtras &extras, BenchOptions opts)
 {
+    std::shared_ptr<const TraceBundle> bundle;
+    if (!path.empty()) {
+        bundle = loadTraceBundle(path);
+        opts.spec = opts.spec.forBundle(bundle->key);
+    }
+    const RunSpec &spec = opts.spec;
     if (opts.checkMutate >= 0) {
         // Seeded mutation campaign: every armed rule must catch its
         // own injected violation (see tools/proteus-check).
         ProgressReporter progress(std::cerr);
         const auto rows = runMutationCampaign(
-            extras.scheme, kind, opts,
-            static_cast<std::uint64_t>(opts.checkMutate), &progress);
-        std::cout << formatMutationReport(extras.scheme, kind, rows);
+            spec, opts, static_cast<std::uint64_t>(opts.checkMutate),
+            &progress);
+        std::cout << formatMutationReport(spec.scheme, spec.kind, rows);
         return allFired(rows) ? 0 : 1;
     }
 
-    SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = extras.scheme;
-    cfg.memCtrl.adr = extras.scheme != LogScheme::PMEMPCommit;
+    SystemConfig cfg = opts.makeConfig(spec);
     if (opts.check) {
         cfg.analysis.check = true;
-        cfg.analysis.repro = checkReproLine(extras.scheme, kind, opts);
+        cfg.analysis.repro = bundle ? checkReplayLine(path, spec)
+                                    : checkReproLine(spec);
     }
-
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
-
-    WorkloadExtras wlExtras;
-    wlExtras.gen = opts.genSpec();
-
-    std::cout << "running " << toString(kind) << " under "
-              << toString(extras.scheme) << " (" << params.threads
-              << " cores)...\n";
-    FullSystem system(cfg, kind, params, wlExtras);
-    const RunResult r = system.run();
+    const TraceBundleKey key = spec.key();
+    std::optional<FullSystem> system;
+    if (bundle) {
+        std::cout << "replaying " << path << " (" << key.describe()
+                  << ")...\n";
+        system.emplace(cfg, bundle);
+    } else {
+        std::cout << "running " << toString(spec.kind) << " under "
+                  << toString(spec.scheme) << " (" << spec.threads
+                  << " cores)...\n";
+        system.emplace(cfg, key.kind, key.params, key.extras());
+    }
+    const RunResult r = system->run();
     printSummary(r);
-    std::cout << "kernel steps:       " << system.sim().kernelSteps()
-              << " (" << system.sim().skippedCycles()
+    std::cout << "kernel steps:       " << system->sim().kernelSteps()
+              << " (" << system->sim().skippedCycles()
               << " cycles skipped)\n";
-    if (!cfg.obs.txStats.empty() && r.txStats) {
-        obs::writeTxStatsFile(
-            cfg.obs.txStats,
-            {makeTxStatsRow(opts, extras.scheme, kind, r)});
-    }
+    if (!opts.txStats.empty() && r.txStats)
+        obs::writeTxStatsFile(opts.txStats, {makeTxStatsRow(spec, r)});
 
     bool check_ok = true;
     if (opts.check && r.check) {
-        CheckRow row{extras.scheme, kind, r, *r.check};
-        std::cout << formatCheckReport(row);
+        std::cout << formatCheckReport(
+            CheckRow{spec.scheme, spec.kind, r, *r.check});
         check_ok = r.check->pass();
     }
 
-    const std::string err = system.workload().checkInvariants(
-        system.heap().volatileImage());
-    std::cout << "invariants:         "
-              << (err.empty() ? "OK" : err) << "\n";
+    // A replayed snapshot carries no workload code, so structural
+    // invariants are checked only for in-process runs; proteus-trace
+    // verify covers a file's integrity instead.
+    std::string err;
+    if (system->hasWorkload()) {
+        err = system->workload().checkInvariants(
+            system->heap().volatileImage());
+        std::cout << "invariants:         "
+                  << (err.empty() ? "OK" : err) << "\n";
+    }
     if (extras.json)
-        system.sim().statsRegistry().dumpJson(std::cout);
+        system->sim().statsRegistry().dumpJson(std::cout);
     else if (extras.stats)
-        system.sim().statsRegistry().dump(std::cout);
+        system->sim().statsRegistry().dump(std::cout);
     return r.finished && err.empty() && check_ok ? 0 : 1;
-}
-
-int
-cmdReplay(const std::string &path, const CliExtras &extras,
-          const BenchOptions &opts)
-{
-    const auto bundle = loadTraceBundle(path);
-    SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = bundle->key.scheme;
-    cfg.memCtrl.adr = bundle->key.scheme != LogScheme::PMEMPCommit;
-    if (cfg.cores < bundle->key.params.threads)
-        cfg.cores = bundle->key.params.threads;
-    if (opts.check) {
-        cfg.analysis.check = true;
-        cfg.analysis.repro = "proteus-check replay " + path;
-    }
-
-    std::cout << "replaying " << path << " ("
-              << bundle->key.describe() << ")...\n";
-    FullSystem system(cfg, bundle);
-    const RunResult r = system.run();
-    printSummary(r);
-    std::cout << "kernel steps:       " << system.sim().kernelSteps()
-              << " (" << system.sim().skippedCycles()
-              << " cycles skipped)\n";
-    if (!cfg.obs.txStats.empty() && r.txStats) {
-        obs::writeTxStatsFile(cfg.obs.txStats,
-                              {makeTxStatsRow(opts, bundle->key.scheme,
-                                              bundle->key.kind, r)});
-    }
-    bool check_ok = true;
-    if (opts.check && r.check) {
-        CheckRow row{bundle->key.scheme, bundle->key.kind, r, *r.check};
-        std::cout << formatCheckReport(row);
-        check_ok = r.check->pass();
-    }
-    // No workload object travels with a snapshot, so structural
-    // invariants cannot be checked here — proteus-trace verify covers
-    // the file's integrity instead.
-    if (extras.json)
-        system.sim().statsRegistry().dumpJson(std::cout);
-    else if (extras.stats)
-        system.sim().statsRegistry().dump(std::cout);
-    return r.finished && check_ok ? 0 : 1;
 }
 
 int
 cmdMatrix(const BenchOptions &opts)
 {
-    const std::vector<LogScheme> schemes{
-        LogScheme::PMEM, LogScheme::PMEMPCommit, LogScheme::PMEMNoLog,
-        LogScheme::ATOM, LogScheme::Proteus, LogScheme::ProteusNoLWR};
+    const std::vector<LogScheme> schemes = allLogSchemes();
     const auto workloads = allPaperWorkloads();
 
     std::vector<SimJob> jobs;
     for (LogScheme s : schemes) {
         for (WorkloadKind w : workloads)
-            jobs.push_back(SimJob{opts.makeConfig(), s, w, {},
+            jobs.push_back(SimJob{opts.spec.with(s, w),
                                   std::string(toString(s)) + " / " +
                                       toString(w)});
     }
@@ -346,7 +260,8 @@ cmdMatrix(const BenchOptions &opts)
             rows.push_back(JsonResultRow{toString(s), toString(w),
                                          r.result, r.wallMs});
             if (!opts.txStats.empty())
-                tx_rows.push_back(makeTxStatsRow(opts, s, w, r.result));
+                tx_rows.push_back(
+                    makeTxStatsRow(opts.spec.with(s, w), r.result));
         }
         table.printRow(std::cout, cells);
     }
@@ -358,26 +273,16 @@ cmdMatrix(const BenchOptions &opts)
 }
 
 int
-cmdCrash(WorkloadKind kind, const CliExtras &extras,
-         const BenchOptions &opts)
+cmdCrash(const CliExtras &extras, const BenchOptions &opts)
 {
-    SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = extras.scheme;
-    cfg.memCtrl.adr = extras.scheme != LogScheme::PMEMPCommit;
-    if (extras.scheme == LogScheme::PMEMNoLog)
+    const RunSpec &spec = opts.spec;
+    const SystemConfig cfg = opts.makeConfig(spec);
+    if (spec.scheme == LogScheme::PMEMNoLog)
         fatal("pmem+nolog is not failure-safe; nothing to recover");
-
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
-
-    WorkloadExtras wlExtras;
-    wlExtras.gen = opts.genSpec();
+    const TraceBundleKey key = spec.key();
 
     std::cout << "measuring the full run...\n";
-    FullSystem full(cfg, kind, params, wlExtras);
+    FullSystem full(cfg, key.kind, key.params, key.extras());
     const RunResult complete = full.run();
     const Tick crash_at =
         complete.cycles * extras.crashPercent / 100;
@@ -385,7 +290,7 @@ cmdCrash(WorkloadKind kind, const CliExtras &extras,
     std::cout << "crashing at cycle " << crash_at << " ("
               << extras.crashPercent << "% of " << complete.cycles
               << ")...\n";
-    FullSystem sys(cfg, kind, params, wlExtras);
+    FullSystem sys(cfg, key.kind, key.params, key.extras());
     sys.runFor(crash_at);
     MemoryImage image = sys.crashImage();
 
@@ -395,30 +300,14 @@ cmdCrash(WorkloadKind kind, const CliExtras &extras,
     std::cout << "committed transactions at crash: " << committed
               << "\n";
 
-    for (unsigned t = 0; t < sys.coreCount(); ++t) {
-        TraceBuilder &tb = sys.workload().builder(t);
-        RecoveryResult rec;
-        switch (extras.scheme) {
-          case LogScheme::PMEM:
-          case LogScheme::PMEMPCommit:
-            rec = Recovery::recoverSoftware(image, tb.logAreaStart(),
-                                            tb.logAreaEnd(),
-                                            tb.logFlagAddr());
-            break;
-          case LogScheme::ATOM: {
-            const auto [start, end] = sys.atomLogArea(t);
-            rec = Recovery::recoverAtom(image, start, end);
-            break;
-          }
-          default:
-            rec = Recovery::recoverProteus(image, tb.logAreaStart(),
-                                           tb.logAreaEnd());
-            break;
-        }
+    const std::vector<RecoveryResult> recovered =
+        recoverAllThreads(sys, image);
+    for (std::size_t t = 0; t < recovered.size(); ++t) {
         std::cout << "  thread " << t << ": "
-                  << (rec.didUndo ? "rolled back one transaction"
-                                  : "nothing in flight")
-                  << " (" << rec.entriesApplied << " entries)\n";
+                  << (recovered[t].didUndo ? "rolled back one transaction"
+                                           : "nothing in flight")
+                  << " (" << recovered[t].entriesApplied
+                  << " entries)\n";
     }
 
     const std::string err = sys.workload().checkInvariants(image);
@@ -471,13 +360,13 @@ main(int argc, char **argv)
         for (int i = 3; i < argc; ++i)
             args.push_back(argv[i]);
         const CliExtras extras = extractExtras(args);
-        const BenchOptions opts = BenchOptions::parse(
-            static_cast<int>(args.size()), args.data());
+        BenchOptions opts = BenchOptions::parse(
+            static_cast<int>(args.size()), args.data(), simFlags);
         if (command == "replay")
-            return cmdReplay(argv[2], extras, opts);
-        const WorkloadKind kind = parseWorkload(argv[2]);
-        return command == "run" ? cmdRun(kind, extras, opts)
-                                : cmdCrash(kind, extras, opts);
+            return cmdRun(argv[2], extras, opts);
+        opts.spec.kind = parseWorkload(argv[2]);
+        return command == "run" ? cmdRun("", extras, opts)
+                                : cmdCrash(extras, opts);
     } catch (const FatalError &e) {
         std::cerr << e.what() << "\n";
         return 1;

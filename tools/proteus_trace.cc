@@ -2,9 +2,10 @@
  * @file
  * proteus-trace: record, inspect, and verify .ptrace trace snapshots.
  *
- *   proteus-trace record <workload> --out FILE [--scheme S]
- *                 [--with-history] [--scale N] [--init-scale N]
- *                 [--threads N] [--seed N]
+ *   proteus-trace record <workload> --out FILE [--with-history]
+ *                 [--scheme S] [--scale N] [--init-scale N]
+ *                 [--threads N] [--seed N] [--log-area-bytes N]
+ *                 [--elements-per-node N] [--wl-spec k=v,...]
  *   proteus-trace info   <file.ptrace>
  *   proteus-trace verify <file.ptrace>
  *
@@ -18,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/trace_bundle.hh"
+#include "harness/run_spec.hh"
 #include "harness/trace_io.hh"
 #include "sim/logging.hh"
 #include "workloads/workload.hh"
@@ -26,6 +27,11 @@
 using namespace proteus;
 
 namespace {
+
+/** Spec flags `record` accepts. */
+constexpr unsigned recordFlags = specflag::Scheme | specflag::Sizing |
+                                 specflag::WlSpec | specflag::List |
+                                 specflag::LogArea;
 
 int
 usage()
@@ -41,23 +47,9 @@ usage()
         << "snapshot\n\n"
         << "options (record):\n"
         << "  --out FILE         output path (required)\n"
-        << "  --scheme S         pmem | pmem+pcommit | pmem+nolog |\n"
-        << "                     atom | proteus | proteus+nolwr "
-        << "(default proteus)\n"
         << "  --with-history     also record the replayable write "
-        << "history (crash oracle)\n"
-        << "  --scale N          divide Table 2 SimOps (default 200)\n"
-        << "  --init-scale N     divide Table 2 InitOps (default 1)\n"
-        << "  --threads N        simulated cores (default 4)\n"
-        << "  --seed N           workload RNG seed (default 1)\n"
-        << "  --log-area-bytes N per-thread log area size "
-        << "(default 1 MiB)\n"
-        << "  --elements-per-node N  linked-list elements per node "
-        << "(LL only)\n"
-        << "  --wl-spec k=v,...  generated-workload spec (workload "
-        << "'gen')\n"
-        << "  --wl-spec-file F   spec file; --wl-spec overrides on "
-        << "top\n";
+        << "history (crash oracle)\n";
+    RunSpec::printFlags(std::cout, recordFlags, RunSpec{});
     return 2;
 }
 
@@ -68,63 +60,30 @@ cmdRecord(int argc, char **argv)
         std::cerr << "record requires a workload\n";
         return usage();
     }
-    TraceBundleKey key;
-    key.kind = parseWorkload(argv[2]);
-    key.params.scale = 200;     // the bench binaries' default size
+    RunSpec spec;
+    spec.kind = parseWorkload(argv[2]);
     std::string out;
-    std::string wl_spec;
-    std::string wl_spec_file;
     bool with_history = false;
 
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--out") {
-            out = value();
-        } else if (arg == "--scheme") {
-            key.scheme = parseScheme(value());
-        } else if (arg == "--with-history") {
+    const std::vector<std::string> args(argv + 3, argv + argc);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        if (spec.parseFlag(args, i, recordFlags))
+            continue;
+        if (args[i] == "--out") {
+            if (i + 1 >= args.size())
+                fatal("--out needs a value");
+            out = args[++i];
+        } else if (args[i] == "--with-history") {
             with_history = true;
-        } else if (arg == "--scale") {
-            key.params.scale =
-                static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--init-scale") {
-            key.params.initScale =
-                static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--threads") {
-            key.params.threads =
-                static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--seed") {
-            key.params.seed = std::stoull(value());
-        } else if (arg == "--log-area-bytes") {
-            key.params.logAreaBytes = std::stoull(value());
-        } else if (arg == "--elements-per-node") {
-            key.llOpts.elementsPerNode =
-                static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--wl-spec") {
-            wl_spec = value();
-        } else if (arg == "--wl-spec-file") {
-            wl_spec_file = value();
         } else {
-            std::cerr << "unknown option: " << arg << "\n";
+            std::cerr << "unknown option: " << args[i] << "\n";
             return usage();
         }
     }
     if (out.empty())
         fatal("record requires --out FILE");
-    if (key.params.scale == 0)
-        fatal("--scale must be >= 1");
-    if (key.params.initScale == 0)
-        fatal("--init-scale must be >= 1");
-    if (!wl_spec_file.empty())
-        key.gen = wlgen::GenSpec::parseFile(wl_spec_file);
-    if (!wl_spec.empty())
-        key.gen = wlgen::GenSpec::parse(wl_spec, key.gen);
 
+    const TraceBundleKey key = spec.key();
     std::cout << "recording " << key.describe() << "...\n";
     const auto bundle = TraceBundle::build(key, nullptr, with_history);
     saveTraceBundle(*bundle, out);
