@@ -214,8 +214,13 @@ BTreeWorkload::fillChild(TraceBuilder &tb, Node &parent, unsigned i,
         }
     }
 
-    // Merge with a sibling around the separating key.
-    const unsigned li = i > 0 ? i - 1 : i;  // merge child[li], child[li+1]
+    mergeChildren(tb, parent, i > 0 ? i - 1 : i, freed);
+}
+
+void
+BTreeWorkload::mergeChildren(TraceBuilder &tb, Node &parent, unsigned li,
+                             std::vector<Addr> &freed)
+{
     Node left = readNode(tb, parent.child[li]);
     Node right = readNode(tb, parent.child[li + 1]);
     left.keys[left.count] = parent.keys[li];
@@ -276,11 +281,12 @@ BTreeWorkload::deleteRec(TraceBuilder &tb, Addr a, std::uint64_t key,
             writeNode(tb, n);
             deleteRec(tb, succ_child.a, succ, freed);
         } else {
-            // Merge both children around the key, then delete within.
-            fillChild(tb, n, i + 1, freed);     // forces the merge path
-            n = readNode(tb, a);
-            deleteRec(tb, n.child[std::min<unsigned>(i, n.count)], key,
-                      freed);
+            // Both children hold one key: merge them around the key,
+            // then delete it from the merged child. (Filling child i+1
+            // instead may borrow from child i+2 and leave child i with
+            // one key, which the descent could then empty.)
+            mergeChildren(tb, n, i, freed);
+            deleteRec(tb, n.child[i], key, freed);
         }
         return;
     }

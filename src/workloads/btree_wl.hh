@@ -66,6 +66,9 @@ class BTreeWorkload : public Workload
                    std::vector<Addr> &freed);
     void fillChild(TraceBuilder &tb, Node &parent, unsigned i,
                    std::vector<Addr> &freed);
+    /** Merge child[li + 1] and the key between them into child[li]. */
+    void mergeChildren(TraceBuilder &tb, Node &parent, unsigned li,
+                       std::vector<Addr> &freed);
     std::uint64_t maxKeyOf(TraceBuilder &tb, Addr a);
     std::uint64_t minKeyOf(TraceBuilder &tb, Addr a);
 

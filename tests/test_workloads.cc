@@ -132,6 +132,23 @@ TEST(LinkedListWorkload, VersionsAdvanceConsistently)
     EXPECT_TRUE(wl->checkInvariants(heap.volatileImage()).empty());
 }
 
+TEST(BTreeWorkload, DeletesKeepEveryNodeNonEmptyAcrossSeeds)
+{
+    // Deleting a key held by an internal node whose two neighbouring
+    // children hold one key each must merge those children. Borrowing
+    // from a further sibling instead left a one-key child that the
+    // descent could empty (seeds 5, 28 and 39 at this sizing).
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        WorkloadParams p = smallParams(1);
+        p.scale = 250;
+        p.initScale = 100;
+        p.seed = seed;
+        WlRun run(WorkloadKind::BTree, LogScheme::Proteus, p);
+        EXPECT_EQ(run.wl->checkInvariants(run.heap->volatileImage()), "")
+            << "seed " << seed;
+    }
+}
+
 TEST(WorkloadFactory, ParsesNames)
 {
     EXPECT_EQ(parseWorkload("QE"), WorkloadKind::Queue);
