@@ -176,26 +176,83 @@ PersistChecker::outcome() const
     return out;
 }
 
-// ---------------------------------------------------------------------
-// obs::TxObserver stream
-// ---------------------------------------------------------------------
-
 void
-PersistChecker::txBegin(CoreId core, TxId id, Tick now)
+PersistChecker::on(const MachineEvent &ev)
 {
+    switch (ev.kind) {
+      case EventKind::TxBegin: {
+        TxState &t = tx(ev.core, ev.tx);
+        t.began = true;
+        t.beginTick = ev.at;
+        break;
+      }
+      case EventKind::TxCommit:
+        txCommit(ev);
+        break;
+      case EventKind::LockGrant: {
+        auto &locks = coreState(ev.core).locks;
+        auto it = std::lower_bound(locks.begin(), locks.end(), ev.addr);
+        if (it == locks.end() || *it != ev.addr)
+            locks.insert(it, ev.addr);
+        break;
+      }
+      case EventKind::LockRelease: {
+        auto &locks = coreState(ev.core).locks;
+        auto it = std::lower_bound(locks.begin(), locks.end(), ev.addr);
+        if (it != locks.end() && *it == ev.addr)
+            locks.erase(it);
+        break;
+      }
+      case EventKind::LogCreate:
+        ++tx(ev.core, ev.tx).logsCreated;
+        break;
+      case EventKind::LogAck:
+        ++tx(ev.core, ev.tx).logsAcked;
+        break;
+      case EventKind::StoreRetire:
+        storeRetired(ev);
+        break;
+      case EventKind::StoreRelease:
+        storeReleased(ev);
+        break;
+      case EventKind::FenceRetire:
+        break;      // counted only: no rule reads fences
+      case EventKind::DurablePoint:
+        durablePoint(ev);
+        break;
+      case EventKind::WriteAccept:
+        if (ev.log)
+            tx(ev.core, ev.tx).logCover.insert(ev.granule);
+        else
+            dataWriteAccepted(ev);
+        break;
+      case EventKind::NvmIssue:
+        nvmWriteIssued(ev);
+        break;
+      case EventKind::NvmPersist:
+        nvmWritePersisted(ev);
+        break;
+      case EventKind::FlashClear:
+        lpqFlashCleared(ev);
+        break;
+      case EventKind::TxEndMarker:
+        txEndMarker(ev);
+        break;
+      case EventKind::TxRollback:
+      case EventKind::LockRequest:
+      case EventKind::LogFilter:
+      case EventKind::CommitSlot:
+        return;     // flight-recorder detail, no ordering edge
+    }
     ++_eventsSeen;
-    TxState &t = tx(core, id);
-    t.began = true;
-    t.beginTick = now;
 }
 
 void
-PersistChecker::txCommit(CoreId core, TxId id, Tick now)
+PersistChecker::txCommit(const MachineEvent &ev)
 {
-    ++_eventsSeen;
-    TxState &t = tx(core, id);
+    TxState &t = tx(ev.core, ev.tx);
     t.committed = true;
-    t.commitTick = now;
+    t.commitTick = ev.at;
     // Retire the transaction's tracking state; keep a durable tombstone
     // so late MC-side events (marker drops) can still find it.
     for (const Addr g : t.released) {
@@ -204,7 +261,7 @@ PersistChecker::txCommit(CoreId core, TxId id, Tick now)
             continue;
         auto &writers = it->second;
         writers.erase(std::remove(writers.begin(), writers.end(),
-                                  CoreTx{core, id}),
+                                  CoreTx{ev.core, ev.tx}),
                       writers.end());
         if (writers.empty())
             _granuleWriters.erase(it);
@@ -215,56 +272,15 @@ PersistChecker::txCommit(CoreId core, TxId id, Tick now)
 }
 
 void
-PersistChecker::lockGranted(CoreId core, TxId id, Addr addr, Tick now)
+PersistChecker::storeRetired(const MachineEvent &ev)
 {
-    ++_eventsSeen;
-    (void)id;
-    (void)now;
-    auto &locks = coreState(core).locks;
-    auto it = std::lower_bound(locks.begin(), locks.end(), addr);
-    if (it == locks.end() || *it != addr)
-        locks.insert(it, addr);
-}
-
-void
-PersistChecker::lockReleased(CoreId core, Addr addr, Tick now)
-{
-    ++_eventsSeen;
-    (void)now;
-    auto &locks = coreState(core).locks;
-    auto it = std::lower_bound(locks.begin(), locks.end(), addr);
-    if (it != locks.end() && *it == addr)
-        locks.erase(it);
-}
-
-void
-PersistChecker::logCreated(CoreId core, TxId id, Tick now)
-{
-    ++_eventsSeen;
-    (void)now;
-    ++tx(core, id).logsCreated;
-}
-
-void
-PersistChecker::logAcked(CoreId core, TxId id, Tick created_at, Tick now)
-{
-    ++_eventsSeen;
-    (void)created_at;
-    (void)now;
-    ++tx(core, id).logsAcked;
-}
-
-// ---------------------------------------------------------------------
-// analysis::PersistSink stream
-// ---------------------------------------------------------------------
-
-void
-PersistChecker::storeRetired(CoreId core, TxId id, Addr addr,
-                             unsigned size, bool persistent,
-                             std::uint64_t ordinal, Tick now)
-{
-    ++_eventsSeen;
-    if (!persistent || size == 0)
+    const CoreId core = ev.core;
+    const TxId id = ev.tx;
+    const Addr addr = ev.addr;
+    const unsigned size = ev.size;
+    const std::uint64_t ordinal = ev.seq;
+    const Tick now = ev.at;
+    if (!ev.persistent || size == 0)
         return;
 
     CoreId owner = 0;
@@ -319,42 +335,31 @@ PersistChecker::storeRetired(CoreId core, TxId id, Addr addr,
 }
 
 void
-PersistChecker::storeReleased(CoreId core, TxId id, Addr addr,
-                              unsigned size, std::uint64_t ordinal,
-                              Tick now)
+PersistChecker::storeReleased(const MachineEvent &ev)
 {
-    ++_eventsSeen;
-    (void)ordinal;
-    (void)now;
-    if (id == 0 || size == 0 || !armed(Rule::LogBeforeData))
+    if (ev.tx == 0 || ev.size == 0 || !armed(Rule::LogBeforeData))
         return;
     CoreId owner = 0;
-    if (logAreaOwner(addr, owner))
+    if (logAreaOwner(ev.addr, owner))
         return;     // software log-entry store: not undo-logged data
     // From here on the store's data can reach the cache hierarchy and
     // hence the MC, so the transaction becomes a visible writer of the
     // granule(s): any MC data-write acceptance covering them must find
     // a durable undo-log entry.
-    TxState &t = tx(core, id);
-    const Addr last = logAlign(addr + size - 1);
-    for (Addr g = logAlign(addr); g <= last; g += logDataSize) {
+    TxState &t = tx(ev.core, ev.tx);
+    const Addr last = logAlign(ev.addr + ev.size - 1);
+    for (Addr g = logAlign(ev.addr); g <= last; g += logDataSize) {
         if (t.released.insert(g).second)
-            _granuleWriters[g].push_back(CoreTx{core, id});
+            _granuleWriters[g].push_back(CoreTx{ev.core, ev.tx});
     }
 }
 
 void
-PersistChecker::fenceRetired(CoreId core, Tick now)
+PersistChecker::durablePoint(const MachineEvent &ev)
 {
-    ++_eventsSeen;
-    (void)core;
-    (void)now;
-}
-
-void
-PersistChecker::durablePoint(CoreId core, TxId id, Tick now)
-{
-    ++_eventsSeen;
+    const CoreId core = ev.core;
+    const TxId id = ev.tx;
+    const Tick now = ev.at;
     TxState &t = tx(core, id);
     t.durable = true;
     t.durableTick = now;
@@ -436,24 +441,17 @@ PersistChecker::checkLogCoverage(Addr granule, Tick now)
 }
 
 void
-PersistChecker::dataWriteAccepted(CoreId core, TxId id, Addr addr,
-                                  std::uint64_t seq, bool combined,
-                                  const std::uint8_t *data, Tick now)
+PersistChecker::dataWriteAccepted(const MachineEvent &ev)
 {
-    ++_eventsSeen;
-    (void)core;
-    (void)id;
-    (void)seq;
-    (void)combined;
-    const Addr block = blockAlign(addr);
-    _lastAccept[block] = now;
+    const Addr block = blockAlign(ev.addr);
+    _lastAccept[block] = ev.at;
 
     // Software schemes write their undo log through the ordinary data
     // path: recover granule coverage by parsing the 64B record.
     CoreId owner = 0;
-    if (logAreaOwner(addr, owner)) {
-        if (_isSwLogScheme && data != nullptr) {
-            const LogRecord rec = LogRecord::fromBytes(data);
+    if (logAreaOwner(ev.addr, owner)) {
+        if (_isSwLogScheme && ev.data != nullptr) {
+            const LogRecord rec = LogRecord::fromBytes(ev.data);
             if (rec.valid())
                 tx(owner, rec.txId).logCover.insert(logAlign(rec.fromAddr));
         }
@@ -461,118 +459,98 @@ PersistChecker::dataWriteAccepted(CoreId core, TxId id, Addr addr,
     }
 
     if (armed(Rule::LogBeforeData)) {
-        checkLogCoverage(block, now);
-        checkLogCoverage(block + logDataSize, now);
+        checkLogCoverage(block, ev.at);
+        checkLogCoverage(block + logDataSize, ev.at);
     }
 }
 
 void
-PersistChecker::logWriteAccepted(CoreId core, TxId id, Addr slot,
-                                 Addr granule, std::uint64_t rec_seq,
-                                 bool lpq, Tick now)
+PersistChecker::nvmWriteIssued(const MachineEvent &ev)
 {
-    ++_eventsSeen;
-    (void)slot;
-    (void)rec_seq;
-    (void)lpq;
-    (void)now;
-    tx(core, id).logCover.insert(granule);
-}
-
-void
-PersistChecker::nvmWriteIssued(bool lpq, Addr addr, std::uint64_t seq,
-                               Tick now)
-{
-    ++_eventsSeen;
     if (!armed(Rule::FifoPerAddress))
         return;
-    const Addr block = blockAlign(addr);
-    auto &last = _lastIssuedSeq[lpq ? 1 : 0];
+    const Addr block = blockAlign(ev.addr);
+    auto &last = _lastIssuedSeq[ev.lpq ? 1 : 0];
     auto it = last.find(block);
     if (it != last.end()) {
         ++stats(Rule::FifoPerAddress).checks;
-        if (seq <= it->second) {
+        if (ev.seq <= it->second) {
             std::ostringstream det;
-            det << (lpq ? "LPQ" : "WPQ") << " issued seq " << seq
+            det << (ev.lpq ? "LPQ" : "WPQ") << " issued seq " << ev.seq
                 << " to block " << hex(block) << " after already "
                 << "issuing seq " << it->second;
-            recordViolation(Rule::FifoPerAddress, 0, 0, block, seq, now,
+            recordViolation(Rule::FifoPerAddress, 0, 0, block, ev.seq,
+                            ev.at,
                             "older same-block issue -> newer same-block"
                             " issue",
                             det.str());
             return;     // keep the high-water mark
         }
     }
-    last[block] = seq;
+    last[block] = ev.seq;
 }
 
 void
-PersistChecker::nvmWritePersisted(bool lpq, Addr addr,
-                                  std::uint64_t seq, Tick now)
+PersistChecker::nvmWritePersisted(const MachineEvent &ev)
 {
-    ++_eventsSeen;
-    const Addr block = blockAlign(addr);
-    _lastPersist[block] = now;
+    const Addr block = blockAlign(ev.addr);
+    _lastPersist[block] = ev.at;
     if (!armed(Rule::FifoPerAddress))
         return;
-    auto &last = _lastPersistSeq[lpq ? 1 : 0];
+    auto &last = _lastPersistSeq[ev.lpq ? 1 : 0];
     auto it = last.find(block);
     if (it != last.end()) {
         ++stats(Rule::FifoPerAddress).checks;
-        if (seq <= it->second) {
+        if (ev.seq <= it->second) {
             std::ostringstream det;
-            det << (lpq ? "LPQ" : "WPQ") << " persisted seq " << seq
+            det << (ev.lpq ? "LPQ" : "WPQ") << " persisted seq " << ev.seq
                 << " to block " << hex(block) << " after already "
                 << "persisting seq " << it->second;
-            recordViolation(Rule::FifoPerAddress, 0, 0, block, seq, now,
+            recordViolation(Rule::FifoPerAddress, 0, 0, block, ev.seq,
+                            ev.at,
                             "older same-block persist -> newer "
                             "same-block persist",
                             det.str());
             return;
         }
     }
-    last[block] = seq;
+    last[block] = ev.seq;
 }
 
 void
-PersistChecker::lpqFlashCleared(CoreId core, TxId id, std::uint64_t n,
-                                Tick now)
+PersistChecker::lpqFlashCleared(const MachineEvent &ev)
 {
-    ++_eventsSeen;
     if (!armed(Rule::FlashClearAfterCommit))
         return;
     ++stats(Rule::FlashClearAfterCommit).checks;
-    const TxState &t = tx(core, id);
+    const TxState &t = tx(ev.core, ev.tx);
     if (!t.durable) {
         std::ostringstream det;
-        det << n << " LPQ log entries flash-cleared before tx " << id
-            << " announced its durable commit";
-        recordViolation(Rule::FlashClearAfterCommit, core, id,
-                        invalidAddr, 0, now,
+        det << ev.count << " LPQ log entries flash-cleared before tx "
+            << ev.tx << " announced its durable commit";
+        recordViolation(Rule::FlashClearAfterCommit, ev.core, ev.tx,
+                        invalidAddr, 0, ev.at,
                         "durable commit -> LPQ flash-clear",
                         det.str());
     }
 }
 
 void
-PersistChecker::txEndMarker(CoreId core, TxId id, MarkerOp op, Tick now)
+PersistChecker::txEndMarker(const MachineEvent &ev)
 {
-    ++_eventsSeen;
     if (!armed(Rule::FlashClearAfterCommit))
         return;
     ++stats(Rule::FlashClearAfterCommit).checks;
-    const TxState &t = tx(core, id);
+    const TxState &t = tx(ev.core, ev.tx);
     if (!t.durable) {
-        const char *what =
-            op == MarkerOp::Held ? "held"
-                                 : op == MarkerOp::Rewritten
-                                       ? "rewritten"
-                                       : "dropped";
+        const char *what = ev.op == MarkerOp::Held        ? "held"
+                           : ev.op == MarkerOp::Rewritten ? "rewritten"
+                                                          : "dropped";
         std::ostringstream det;
-        det << "tx-end marker " << what << " before tx " << id
+        det << "tx-end marker " << what << " before tx " << ev.tx
             << " announced its durable commit";
-        recordViolation(Rule::FlashClearAfterCommit, core, id,
-                        invalidAddr, 0, now,
+        recordViolation(Rule::FlashClearAfterCommit, ev.core, ev.tx,
+                        invalidAddr, 0, ev.at,
                         "durable commit -> tx-end marker operation",
                         det.str());
     }

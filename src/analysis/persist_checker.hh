@@ -2,21 +2,20 @@
  * @file
  * The online happens-before checker for the logging protocols.
  *
- * PersistChecker consumes three event streams:
- *   - obs::TxObserver spans (tx begin/commit, lock grants, log-record
- *     lifecycle) from the cores and the MC,
- *   - the new analysis::PersistSink persist/fence/flash-clear edges
- *     emitted by src/cpu/core.cc and src/memctrl/mem_ctrl.cc, and
- *   - optionally the TraceWriteObserver store kinds recorded at trace
- *     generation (WriteHistory), which distinguish undo-logged stores
- *     from fresh-allocation stores for the software schemes.
+ * PersistChecker subscribes to the machine event stream
+ * (sim/machine_event.hh) — transaction and log-record spans plus the
+ * persist/fence/flash-clear edges posted by src/cpu/core.cc and
+ * src/memctrl/mem_ctrl.cc — and optionally reads the
+ * TraceWriteObserver store kinds recorded at trace generation
+ * (WriteHistory), which distinguish undo-logged stores from
+ * fresh-allocation stores for the software schemes.
  *
  * Against these it verifies the per-scheme declarative rule set of
  * rules.hh and produces minimal violation reports in the style of the
  * crashtest byte-diff: guilty transaction, store ordinal, the missing
  * edge, and a one-command repro line.
  *
- * All state updates happen on executed-tick hooks, so verdicts are
+ * All state updates happen on executed-tick events, so verdicts are
  * bit-identical with cycle skipping on or off and at any --jobs count.
  */
 
@@ -33,10 +32,9 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/persist_sink.hh"
 #include "analysis/rules.hh"
-#include "obs/tx_observer.hh"
 #include "sim/config.hh"
+#include "sim/machine_event.hh"
 
 namespace proteus {
 
@@ -80,7 +78,7 @@ struct CheckOutcome
 /** Detailed violations retained per run (all are counted). */
 constexpr std::size_t reportCap = 32;
 
-class PersistChecker : public obs::TxObserver, public PersistSink
+class PersistChecker : public EventSubscriber
 {
   public:
     /** @p repro is the one-command repro line carried into reports. */
@@ -98,41 +96,9 @@ class PersistChecker : public obs::TxObserver, public PersistSink
     CheckOutcome outcome() const;
     std::uint64_t totalViolations() const { return _totalViolations; }
 
-    /// @name obs::TxObserver stream
-    /// @{
-    void txBegin(CoreId core, TxId tx, Tick now) override;
-    void txCommit(CoreId core, TxId tx, Tick now) override;
-    void lockGranted(CoreId core, TxId tx, Addr addr, Tick now) override;
-    void logCreated(CoreId core, TxId tx, Tick now) override;
-    void logAcked(CoreId core, TxId tx, Tick created_at,
-                  Tick now) override;
-    /// @}
-
-    /// @name analysis::PersistSink stream
-    /// @{
-    void storeRetired(CoreId core, TxId tx, Addr addr, unsigned size,
-                      bool persistent, std::uint64_t ordinal,
-                      Tick now) override;
-    void storeReleased(CoreId core, TxId tx, Addr addr, unsigned size,
-                       std::uint64_t ordinal, Tick now) override;
-    void fenceRetired(CoreId core, Tick now) override;
-    void durablePoint(CoreId core, TxId tx, Tick now) override;
-    void lockReleased(CoreId core, Addr addr, Tick now) override;
-    void dataWriteAccepted(CoreId core, TxId tx, Addr addr,
-                           std::uint64_t seq, bool combined,
-                           const std::uint8_t *data, Tick now) override;
-    void logWriteAccepted(CoreId core, TxId tx, Addr slot, Addr granule,
-                          std::uint64_t rec_seq, bool lpq,
-                          Tick now) override;
-    void nvmWriteIssued(bool lpq, Addr addr, std::uint64_t seq,
-                        Tick now) override;
-    void nvmWritePersisted(bool lpq, Addr addr, std::uint64_t seq,
-                           Tick now) override;
-    void lpqFlashCleared(CoreId core, TxId tx, std::uint64_t n,
-                         Tick now) override;
-    void txEndMarker(CoreId core, TxId tx, MarkerOp op,
-                     Tick now) override;
-    /// @}
+    /** Counts (eventsSeen) and checks every event kind a rule reads;
+     *  the flight-recorder-only kinds pass uncounted. */
+    void on(const MachineEvent &ev) override;
 
   private:
     using CoreTx = std::pair<CoreId, TxId>;
@@ -211,6 +177,19 @@ class PersistChecker : public obs::TxObserver, public PersistSink
                        Tick now) const;
 
     void checkLogCoverage(Addr granule, Tick now);
+
+    /// @name Per-kind handlers
+    /// @{
+    void txCommit(const MachineEvent &ev);
+    void storeRetired(const MachineEvent &ev);
+    void storeReleased(const MachineEvent &ev);
+    void durablePoint(const MachineEvent &ev);
+    void dataWriteAccepted(const MachineEvent &ev);
+    void nvmWriteIssued(const MachineEvent &ev);
+    void nvmWritePersisted(const MachineEvent &ev);
+    void lpqFlashCleared(const MachineEvent &ev);
+    void txEndMarker(const MachineEvent &ev);
+    /// @}
 
     LogScheme _scheme;
     bool _adr;

@@ -3,11 +3,11 @@
  * Seeded event-stream mutation for checker self-validation
  * (`--check-mutate N`).
  *
- * The mutator interposes between the instrumented machine and the
- * PersistChecker, forwarding both event streams unchanged except for
- * one seeded, rule-targeted perturbation: it drops or duplicates the
- * k-th qualifying persist edge (k derived from the seed) in exactly the
- * way the target rule forbids. A correct checker must flag the
+ * The mutator subscribes to the machine event stream in the
+ * PersistChecker's place and forwards every event to it unchanged
+ * except for one seeded, rule-targeted perturbation: it drops or
+ * duplicates the k-th qualifying persist edge (k derived from the
+ * seed) in exactly the way the target rule forbids. A correct checker must flag the
  * mutated stream; the mutation campaign in check_runner asserts that
  * every armed rule catches its own injected violation, which is the CI
  * gate proving the rules are live (not vacuously passing).
@@ -22,14 +22,13 @@
 #include <vector>
 
 #include "analysis/persist_checker.hh"
-#include "analysis/persist_sink.hh"
 #include "analysis/rules.hh"
-#include "obs/tx_observer.hh"
+#include "sim/machine_event.hh"
 
 namespace proteus {
 namespace analysis {
 
-class StreamMutator : public obs::TxObserver, public PersistSink
+class StreamMutator : public EventSubscriber
 {
   public:
     /** Mutates the @p target rule's k-th qualifying edge, k seeded by
@@ -44,41 +43,9 @@ class StreamMutator : public obs::TxObserver, public PersistSink
     bool mutated() const { return _mutations > 0; }
     std::uint64_t mutations() const { return _mutations; }
 
-    /// @name obs::TxObserver forwarding (with EntriesBeforeTxEnd drop)
-    /// @{
-    void txBegin(CoreId core, TxId tx, Tick now) override;
-    void txCommit(CoreId core, TxId tx, Tick now) override;
-    void lockGranted(CoreId core, TxId tx, Addr addr, Tick now) override;
-    void logCreated(CoreId core, TxId tx, Tick now) override;
-    void logAcked(CoreId core, TxId tx, Tick created_at,
-                  Tick now) override;
-    /// @}
-
-    /// @name PersistSink forwarding (with rule-targeted perturbations)
-    /// @{
-    void storeRetired(CoreId core, TxId tx, Addr addr, unsigned size,
-                      bool persistent, std::uint64_t ordinal,
-                      Tick now) override;
-    void storeReleased(CoreId core, TxId tx, Addr addr, unsigned size,
-                       std::uint64_t ordinal, Tick now) override;
-    void fenceRetired(CoreId core, Tick now) override;
-    void durablePoint(CoreId core, TxId tx, Tick now) override;
-    void lockReleased(CoreId core, Addr addr, Tick now) override;
-    void dataWriteAccepted(CoreId core, TxId tx, Addr addr,
-                           std::uint64_t seq, bool combined,
-                           const std::uint8_t *data, Tick now) override;
-    void logWriteAccepted(CoreId core, TxId tx, Addr slot, Addr granule,
-                          std::uint64_t rec_seq, bool lpq,
-                          Tick now) override;
-    void nvmWriteIssued(bool lpq, Addr addr, std::uint64_t seq,
-                        Tick now) override;
-    void nvmWritePersisted(bool lpq, Addr addr, std::uint64_t seq,
-                           Tick now) override;
-    void lpqFlashCleared(CoreId core, TxId tx, std::uint64_t n,
-                         Tick now) override;
-    void txEndMarker(CoreId core, TxId tx, MarkerOp op,
-                     Tick now) override;
-    /// @}
+    /** Forwards @p ev, perturbing only the kinds the target rule
+     *  reads. */
+    void on(const MachineEvent &ev) override;
 
   private:
     /** Core-id offset for the synthetic racing writer. */

@@ -34,6 +34,13 @@ constexpr Tick atomLogRetry = 4;
 /** Store-to-load forwarding latency. */
 constexpr Tick forwardLatency = 3;
 
+/** A run-unique trace flow id for (core, tx). */
+std::uint64_t
+txFlowId(CoreId core, TxId tx)
+{
+    return (static_cast<std::uint64_t>(core) << 48) | tx;
+}
+
 } // namespace
 
 Core::Core(Simulator &sim, const SystemConfig &cfg, CoreId id,
@@ -204,10 +211,10 @@ Core::accountSkipped(Tick from, Tick to)
     // The per-tx commit-slot feed mirrors the scalar replay: a blocked
     // tick's bucket (and the transaction live at retirement) repeats
     // for every skipped cycle.
-    if (_txObs && to > from) {
-        _txObs->commitSlot(_id, _retireTxId,
-                           static_cast<obs::TxSlot>(_lastSlotBucket),
-                           to - from);
+    if (_events && to > from) {
+        _events->post({.kind = EventKind::CommitSlot, .core = _id,
+                       .tx = _retireTxId, .count = to - from,
+                       .slot = static_cast<TxSlot>(_lastSlotBucket)});
     }
 }
 
@@ -314,15 +321,16 @@ Core::accountCommitSlot(bool retired, Tick now)
       case CommitBucket::LockWait:        ++_cpiLockWait; break;
     }
 
-    // obs::TxSlot mirrors CommitBucket value-for-value (obs cannot
-    // depend on cpu), so the cast is the mapping. Accounting runs after
-    // retireStage: a tx-begin tick counts toward the new transaction
-    // and a commit tick does not, making the per-tx slots sum exactly
-    // to commitTick - beginTick.
+    // TxSlot mirrors CommitBucket value-for-value (the event stream
+    // cannot depend on cpu), so the cast is the mapping. Accounting
+    // runs after retireStage: a tx-begin tick counts toward the new
+    // transaction and a commit tick does not, making the per-tx slots
+    // sum exactly to commitTick - beginTick.
     _lastSlotBucket = bucket;
-    if (_txObs) {
-        _txObs->commitSlot(_id, _retireTxId,
-                           static_cast<obs::TxSlot>(bucket), 1);
+    if (_events) {
+        _events->post({.kind = EventKind::CommitSlot, .core = _id,
+                       .tx = _retireTxId, .count = 1,
+                       .slot = static_cast<TxSlot>(bucket)});
     }
 
     if (_traceSink)
@@ -481,10 +489,10 @@ Core::dispatchOne(const MicroOp &mop)
             inst.completed = true;
             inst.lltHit = true;
             _lastLogLoadWasHit = false;
-            if (_txObs) {
-                _txObs->logFiltered(
-                    _id, _trace.logPayload(mop.payload).txId,
-                    _sim.now());
+            if (_events) {
+                _events->post({.kind = EventKind::LogFilter, .core = _id,
+                               .tx = _trace.logPayload(mop.payload).txId,
+                               .at = _sim.now()});
             }
             break;
         }
@@ -501,8 +509,10 @@ Core::dispatchOne(const MicroOp &mop)
         inst.logQEntry =
             _logQ.allocate(inst.seq, payload.fromAddr, log_to, rec);
         inst.logCreatedAt = _sim.now();
-        if (_txObs)
-            _txObs->logCreated(_id, payload.txId, _sim.now());
+        if (_events) {
+            _events->post({.kind = EventKind::LogCreate, .core = _id,
+                           .tx = payload.txId, .at = _sim.now()});
+        }
         traceLogQOccupancy();
         inst.inIq = true;
         _iq.push_back(&inst);
@@ -680,23 +690,30 @@ Core::executeInst(DynInst &inst, Tick now)
             _poked = true;
             _logQ.deallocate(entry);
             traceLogQOccupancy();
-            if (_txObs)
-                _txObs->logAcked(_id, log_tx, created_at, _sim.now());
+            if (_events) {
+                _events->post({.kind = EventKind::LogAck, .core = _id,
+                               .tx = log_tx, .at = _sim.now(),
+                               .since = created_at});
+            }
         });
         _sim.schedule(1, [this, ip]() { completeInst(*ip); });
         break;
       }
       case Op::LockAcquire:
-        if (_txObs) {
-            _txObs->lockRequested(_id, inst.txId, inst.mop->addr,
-                                  _sim.now());
+        if (_events) {
+            _events->post({.kind = EventKind::LockRequest, .core = _id,
+                           .tx = inst.txId, .at = _sim.now(),
+                           .addr = inst.mop->addr});
         }
         _locks.acquire(inst.mop->addr, _id, inst.mop->data,
                        [this, ip]() {
-                           if (_txObs) {
-                               _txObs->lockGranted(_id, ip->txId,
-                                                   ip->mop->addr,
-                                                   _sim.now());
+                           if (_events) {
+                               _events->post(
+                                   {.kind = EventKind::LockGrant,
+                                    .core = _id,
+                                    .tx = ip->txId,
+                                    .at = _sim.now(),
+                                    .addr = ip->mop->addr});
                            }
                            completeInst(*ip);
                        });
@@ -774,8 +791,10 @@ Core::startAtomLog(DynInst &inst)
     // recorder: created when the MC trip starts, acked when the ack
     // returns (the paired granule writes are MC-internal detail).
     const Tick created_at = _sim.now();
-    if (_txObs)
-        _txObs->logCreated(_id, tx, created_at);
+    if (_events) {
+        _events->post({.kind = EventKind::LogCreate, .core = _id, .tx = tx,
+                       .at = created_at});
+    }
 
     auto snapshot = _caches.tracker().snapshot(block);
     auto submit = std::make_shared<std::function<void(unsigned)>>();
@@ -791,8 +810,10 @@ Core::startAtomLog(DynInst &inst)
                 _poked = true;
                 ip->atomLogState = 2;
                 --_atomPendingLogs;
-                if (_txObs) {
-                    _txObs->logAcked(_id, tx, created_at, _sim.now());
+                if (_events) {
+                    _events->post({.kind = EventKind::LogAck, .core = _id,
+                                   .tx = tx, .at = _sim.now(),
+                                   .since = created_at});
                 }
             });
             return;
@@ -965,9 +986,11 @@ Core::doRetire(DynInst &inst, Tick now)
         entry.tx = _retireTxId;
         entry.persistent = mop.persistent;
         _storeBuffer.push_back(entry);
-        if (_pSink) {
-            _pSink->storeRetired(_id, _retireTxId, mop.addr, mop.size,
-                                 mop.persistent, inst.seq, now);
+        if (_events) {
+            _events->post({.kind = EventKind::StoreRetire, .core = _id,
+                           .tx = _retireTxId, .at = now, .addr = mop.addr,
+                           .seq = inst.seq, .size = mop.size,
+                           .persistent = mop.persistent});
         }
         break;
       }
@@ -985,12 +1008,14 @@ Core::doRetire(DynInst &inst, Tick now)
         _atomLogStarted.clear();
         _atomSeq = 0;
         _txStartTick = now;
-        if (_txObs)
-            _txObs->txBegin(_id, mop.data, now);
+        if (_events) {
+            _events->post({.kind = EventKind::TxBegin, .core = _id,
+                           .tx = mop.data, .at = now});
+        }
         if (_traceSink && _trkTx) {
             _traceSink->flowStart(TraceCatCpu, _trkTx,
                                   "tx" + std::to_string(mop.data), now,
-                                  obs::txFlowId(_id, mop.data));
+                                  txFlowId(_id, mop.data));
         }
         break;
       case Op::TxEnd: {
@@ -998,8 +1023,10 @@ Core::doRetire(DynInst &inst, Tick now)
         _retireTxId = 0;
         // The durability point precedes MemCtrl::txEnd so flash-clear
         // events always follow the durable-commit announcement.
-        if (_pSink)
-            _pSink->durablePoint(_id, tx, now);
+        if (_events) {
+            _events->post({.kind = EventKind::DurablePoint, .core = _id,
+                           .tx = tx, .at = now});
+        }
         if (_scheme == LogScheme::Proteus ||
             _scheme == LogScheme::ProteusNoLWR) {
             _mc.txEnd(_id, tx);
@@ -1011,8 +1038,10 @@ Core::doRetire(DynInst &inst, Tick now)
         ++_committedTxStat;
         // After _mc.txEnd so any flash-clear drops are recorded into
         // the still-open transaction before it closes.
-        if (_txObs)
-            _txObs->txCommit(_id, tx, now);
+        if (_events) {
+            _events->post({.kind = EventKind::TxCommit, .core = _id, .tx = tx,
+                           .at = now});
+        }
         if (_traceSink && _trkTx) {
             _traceSink->complete(TraceCatCpu, _trkTx,
                                  "tx" + std::to_string(tx),
@@ -1020,20 +1049,24 @@ Core::doRetire(DynInst &inst, Tick now)
             _traceSink->instant(TraceCatCpu, _trkTx, "commit", now);
             _traceSink->flowFinish(TraceCatCpu, _trkTx,
                                    "tx" + std::to_string(tx), now,
-                                   obs::txFlowId(_id, tx));
+                                   txFlowId(_id, tx));
         }
         break;
       }
       case Op::LockRelease:
         _locks.release(mop.addr, _id);
-        if (_pSink)
-            _pSink->lockReleased(_id, mop.addr, now);
+        if (_events) {
+            _events->post({.kind = EventKind::LockRelease, .core = _id,
+                           .at = now, .addr = mop.addr});
+        }
         break;
       case Op::SFence:
       case Op::MFence:
       case Op::PCommit:
-        if (_pSink)
-            _pSink->fenceRetired(_id, now);
+        if (_events) {
+            _events->post(
+                {.kind = EventKind::FenceRetire, .core = _id, .at = now});
+        }
         break;
       default:
         break;
@@ -1179,9 +1212,10 @@ Core::releaseStoreBuffer(Tick now)
         ++_outstandingPerBlock[block];
         if (_isHwScheme && entry.tx != 0 && entry.persistent)
             markAutoFlush(block);
-        if (_pSink) {
-            _pSink->storeReleased(_id, entry.tx, entry.addr, entry.size,
-                                  entry.seq, now);
+        if (_events) {
+            _events->post({.kind = EventKind::StoreRelease, .core = _id,
+                           .tx = entry.tx, .at = now, .addr = entry.addr,
+                           .seq = entry.seq, .size = entry.size});
         }
         _storeBuffer.pop_front();
     }

@@ -42,14 +42,13 @@
 #include "branch_predictor.hh"
 #include "cache/hierarchy.hh"
 #include "isa/trace.hh"
-#include "analysis/persist_sink.hh"
 #include "lock_manager.hh"
 #include "logging/llt.hh"
 #include "logging/log_queue.hh"
 #include "logging/tx_context.hh"
 #include "memctrl/mem_ctrl.hh"
-#include "obs/tx_observer.hh"
 #include "sim/config.hh"
+#include "sim/machine_event.hh"
 #include "sim/simulator.hh"
 
 namespace proteus {
@@ -152,20 +151,13 @@ class Core : public Ticked
     void setOrderingChecks(bool on) { _checkOrdering = on; }
 
     /**
-     * Attach a transaction flight-recorder observer (nullptr detaches).
-     * Hooks fire at retirement boundaries, log-record lifecycle points,
-     * lock request/grant, and once per accounted commit-slot cycle;
-     * when no observer is attached every site is one null check.
+     * Attach the machine event stream (nullptr detaches). Events fire
+     * at retirement boundaries, store-buffer release, the tx-end
+     * durability gate, log-record lifecycle points, lock
+     * request/grant/release, and once per accounted commit-slot cycle;
+     * when no stream is attached every site is one null check.
      */
-    void setTxObserver(obs::TxObserver *obs) { _txObs = obs; }
-
-    /**
-     * Attach a persist-edge sink for the persistency-order checker
-     * (nullptr detaches). Hooks fire at store/fence retirement, store
-     * buffer release, the tx-end durability gate, and lock release;
-     * when no sink is attached every site is one null check.
-     */
-    void setPersistSink(analysis::PersistSink *sink) { _pSink = sink; }
+    void setEventStream(const EventStream *events) { _events = events; }
 
     std::uint64_t retiredOps() const
     {
@@ -354,8 +346,7 @@ class Core : public Ticked
     bool _phaseOpen = false;
     Tick _phaseStart = 0;
     Tick _txStartTick = 0;
-    obs::TxObserver *_txObs = nullptr;
-    analysis::PersistSink *_pSink = nullptr;
+    const EventStream *_events = nullptr;
     /** Bucket the last accounted tick landed in, replayed (with the
      *  live _retireTxId) for skipped quiescent spans so per-tx slot
      *  attribution is bit-identical with cycle skipping on or off. */

@@ -84,8 +84,9 @@ struct OracleReport
 };
 
 /**
- * Records durable-commit points and per-byte expected values while
- * traces are generated; attach via FullSystem's trace_observer hook.
+ * Records durable-commit points and per-byte expected values from the
+ * write stream of trace generation; fed by replaying a bundle's
+ * WriteHistory (WriteHistory::replayTo).
  */
 class CommitOracle : public TraceWriteObserver
 {

@@ -352,16 +352,16 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     cfg.cycleSkip = opts.cycleSkip;
     const TraceBundleKey key = spec.key();
 
-    // With the cache on, one functional execution serves both the
-    // reference run and the crash-injected run; the oracle is rebuilt
-    // from the bundle's recorded write history, which is equivalent to
-    // live attachment during trace generation.
-    std::shared_ptr<const TraceBundle> bundle;
+    // One functional execution serves both the reference run and the
+    // crash-injected run (shared through the cache when it is on); the
+    // oracle is rebuilt from the bundle's recorded write history, which
+    // is equivalent to live attachment during trace generation.
+    const std::shared_ptr<const TraceBundle> bundle =
+        opts.useTraceCache
+            ? TraceCache::global().get(key, /*want_history=*/true)
+            : TraceBundle::build(key, /*want_history=*/true);
     CommitOracle oracle;
-    if (opts.useTraceCache) {
-        bundle = TraceCache::global().get(key, /*want_history=*/true);
-        bundle->history->replayTo(oracle);
-    }
+    bundle->history->replayTo(oracle);
 
     // Reference run: the pair's total cycle count anchors the stride
     // and the fuzz range (and validates the configuration end to end).
@@ -373,13 +373,8 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
             ref_cfg.analysis.check = true;
             ref_cfg.analysis.repro = checkReproLine(spec);
         }
-        std::unique_ptr<FullSystem> reference;
-        if (bundle)
-            reference = std::make_unique<FullSystem>(ref_cfg, bundle);
-        else
-            reference = std::make_unique<FullSystem>(
-                ref_cfg, kind, key.params, key.extras());
-        const RunResult full = reference->run(runCycleLimit);
+        FullSystem reference(ref_cfg, bundle);
+        const RunResult full = reference.run(runCycleLimit);
         if (!full.finished)
             fatal("crashtest: reference run hit the cycle limit");
         pair.totalCycles = full.cycles;
@@ -394,13 +389,7 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     const std::vector<Tick> cycles =
         crashCycles(opts, scheme, kind, pair.totalCycles);
 
-    std::unique_ptr<FullSystem> sys_holder;
-    if (bundle)
-        sys_holder = std::make_unique<FullSystem>(cfg, bundle);
-    else
-        sys_holder = std::make_unique<FullSystem>(
-            cfg, kind, key.params, key.extras(), &oracle);
-    FullSystem &sys = *sys_holder;
+    FullSystem sys(cfg, bundle);
     pair.totalTxs = oracle.txCount();
 
     for (const Tick at : cycles) {

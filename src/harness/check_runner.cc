@@ -86,10 +86,39 @@ historyBundle(const RunSpec &spec, const BenchOptions &opts)
     const TraceBundleKey key = spec.key();
     if (opts.traceCache)
         return TraceCache::global().get(key, /*want_history=*/true);
-    return TraceBundle::build(key, nullptr, /*want_history=*/true);
+    return TraceBundle::build(key, /*want_history=*/true);
 }
 
 } // namespace
+
+CheckArgs
+parseCheckArgs(const std::vector<std::string> &args)
+{
+    static const char *const unsupported[] = {
+        "--stats-interval", "--stats-out",  "--trace-events",
+        "--trace-categories", "--tx-stats", "--tx-slowest",
+    };
+    CheckArgs out;
+    std::vector<std::string> rest;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        for (const char *flag : unsupported) {
+            if (arg == flag)
+                fatal(arg, " is not supported by proteus-check (checked "
+                      "runs write no per-run files; use proteus-sim run "
+                      "--check)");
+        }
+        if (arg == "--scheme" && i + 1 < args.size()) {
+            // BenchOptions takes one scheme; proteus-check also `all`.
+            if (args[++i] != "all")
+                out.schemes.push_back(parseScheme(args[i]));
+        } else {
+            rest.push_back(arg);
+        }
+    }
+    out.opts = BenchOptions::parse(rest, checkSpecFlags);
+    return out;
+}
 
 std::string
 checkReproLine(const RunSpec &spec)

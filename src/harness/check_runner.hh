@@ -43,6 +43,26 @@ struct MutationRow
     std::uint64_t mutations = 0;    ///< edges the mutator perturbed
 };
 
+/** The spec flags proteus-check accepts: every flag a check repro
+ *  line can carry. */
+constexpr unsigned checkSpecFlags = specflag::Bench | specflag::List;
+
+/** A parsed proteus-check command line (after command and operand). */
+struct CheckArgs
+{
+    std::vector<LogScheme> schemes;     ///< --scheme S|all (empty: all)
+    BenchOptions opts;
+};
+
+/**
+ * Parse proteus-check's options: --scheme S|all, the checkSpecFlags
+ * spec flags and BenchOptions' run control. Checked runs write no
+ * per-run files, so the observability flags (--stats-interval,
+ * --stats-out, --trace-events, --trace-categories, --tx-stats,
+ * --tx-slowest) are fatal, naming the flag.
+ */
+CheckArgs parseCheckArgs(const std::vector<std::string> &args);
+
 /** The one-command repro line carried into every violation report:
  *  `proteus-check run` plus @p spec's canonical flags. */
 std::string checkReproLine(const RunSpec &spec);

@@ -16,8 +16,15 @@ namespace proteus {
 BenchOptions
 BenchOptions::parse(int argc, char **argv, unsigned spec_flags)
 {
+    return parse(std::vector<std::string>(argv + 1, argv + argc),
+                 spec_flags);
+}
+
+BenchOptions
+BenchOptions::parse(const std::vector<std::string> &args,
+                    unsigned spec_flags)
+{
     BenchOptions opts;
-    const std::vector<std::string> args(argv + 1, argv + argc);
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (opts.spec.parseFlag(args, i, spec_flags))
             continue;
@@ -131,7 +138,7 @@ makeTxStatsRow(const RunSpec &spec, const RunResult &result)
     row.initScale = spec.initScale;
     row.seed = spec.seed;
     row.cycles = result.cycles;
-    // Bucket order mirrors obs::TxSlot (and CommitBucket).
+    // Bucket order mirrors TxSlot (and CommitBucket).
     row.cpi = {result.cpi.base,          result.cpi.robFull,
                result.cpi.iqLsqFull,     result.cpi.branchRedirect,
                result.cpi.persistStall,  result.cpi.wpqBackpressure,

@@ -60,6 +60,9 @@ struct BenchOptions
      *  --check and --check-mutate N. Exits on --help. */
     static BenchOptions parse(int argc, char **argv,
                               unsigned spec_flags = specflag::Bench);
+    /** The same, over the arguments after the program name. */
+    static BenchOptions parse(const std::vector<std::string> &args,
+                              unsigned spec_flags = specflag::Bench);
 
     /** The --help lines for what parse() accepts. */
     static void printHelp(std::ostream &os, unsigned spec_flags);

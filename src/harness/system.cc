@@ -6,8 +6,7 @@ namespace proteus {
 
 FullSystem::FullSystem(const SystemConfig &cfg, WorkloadKind kind,
                        const WorkloadParams &params,
-                       const WorkloadExtras &extras,
-                       TraceWriteObserver *trace_observer)
+                       const WorkloadExtras &extras)
     : _cfg(cfg)
 {
     if (params.threads > cfg.cores)
@@ -26,8 +25,8 @@ FullSystem::FullSystem(const SystemConfig &cfg, WorkloadKind kind,
     key.gen = extras.gen;
     // The checker needs the write history to classify store kinds for
     // the software schemes' LogBeforeData rule.
-    auto bundle = TraceBundle::build(key, trace_observer,
-                                     /*want_history=*/cfg.analysis.check);
+    auto bundle =
+        TraceBundle::build(key, /*want_history=*/cfg.analysis.check);
 
     // The bundle is private to this system, so its heap can be mutated
     // in place — exactly the pre-bundle behavior, with no image copy.
@@ -110,23 +109,20 @@ FullSystem::wire()
         _sampler->start();
     }
 
-    // The transaction flight recorder observes every core and the MC.
-    // File output (when obs.txStats is set) is written by the caller
-    // (runExperiment / runBatch) so batches can combine rows into one
-    // deterministic file.
+    // The transaction flight recorder subscribes to the machine event
+    // stream. File output (when obs.txStats is set) is written by the
+    // caller (runExperiment / runBatch) so batches can combine rows
+    // into one deterministic file.
     if (!_cfg.obs.txStats.empty() || _cfg.obs.txTrack) {
         _txTracker = std::make_unique<obs::TxTracker>(
             _sim->statsRegistry(), _cfg.cores,
             static_cast<unsigned>(_cfg.obs.txSlowest));
-        _mc->setTxObserver(_txTracker.get());
-        for (auto &core : _cores)
-            core->setTxObserver(_txTracker.get());
+        _events.subscribe(*_txTracker);
     }
 
-    // The persistency-order checker taps both the flight-recorder
-    // stream (shared with the tracker through a fanout) and the
-    // persist-edge stream. In mutation mode a StreamMutator interposes
-    // on both so the checker must catch the injected violation.
+    // The persistency-order checker subscribes after the tracker. In
+    // mutation mode a StreamMutator subscribes in its place and
+    // forwards to it, so the checker must catch the injected violation.
     if (_cfg.analysis.check) {
         _checker = std::make_unique<analysis::PersistChecker>(
             _cfg.logging.scheme, _cfg.memCtrl.adr, _cfg.analysis.repro);
@@ -141,8 +137,6 @@ FullSystem::wire()
         if (_bundle->history)
             _checker->bindWriteHistory(*_bundle->history);
 
-        obs::TxObserver *tx_obs = _checker.get();
-        analysis::PersistSink *sink = _checker.get();
         if (_cfg.analysis.mutateRule >= 0 &&
             static_cast<unsigned>(_cfg.analysis.mutateRule) <
                 analysis::numRules) {
@@ -155,20 +149,16 @@ FullSystem::wire()
                 _mutator->addLogArea(_atomAreas[t].first,
                                      _atomAreas[t].second);
             }
-            tx_obs = _mutator.get();
-            sink = _mutator.get();
+            _events.subscribe(*_mutator);
+        } else {
+            _events.subscribe(*_checker);
         }
-        if (_txTracker) {
-            _obsFanout = std::make_unique<obs::TxObserverFanout>(
-                _txTracker.get(), tx_obs);
-            tx_obs = _obsFanout.get();
-        }
-        _mc->setTxObserver(tx_obs);
+    }
+
+    if (!_events.empty()) {
+        _mc->setEventStream(&_events);
         for (auto &core : _cores)
-            core->setTxObserver(tx_obs);
-        _mc->setPersistSink(sink);
-        for (auto &core : _cores)
-            core->setPersistSink(sink);
+            core->setEventStream(&_events);
     }
 }
 

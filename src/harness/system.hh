@@ -63,17 +63,11 @@ struct RunResult
 class FullSystem
 {
   public:
-    /**
-     * Build the trace state privately and wire the machine (the
-     * classic path). @p trace_observer, when set, watches every
-     * transactional write as the workload's traces are recorded (the
-     * crash oracle hook); it must outlive trace generation but is not
-     * retained afterwards.
-     */
+    /** Build the trace state privately and wire the machine (the
+     *  classic path). */
     FullSystem(const SystemConfig &cfg, WorkloadKind kind,
                const WorkloadParams &params,
-               const WorkloadExtras &extras = {},
-               TraceWriteObserver *trace_observer = nullptr);
+               const WorkloadExtras &extras = {});
 
     /**
      * Wire the machine from a prebuilt bundle (TraceCache::get or
@@ -169,7 +163,9 @@ class FullSystem
     std::unique_ptr<obs::TxTracker> _txTracker;
     std::unique_ptr<analysis::PersistChecker> _checker;
     std::unique_ptr<analysis::StreamMutator> _mutator;
-    std::unique_ptr<obs::TxObserverFanout> _obsFanout;
+    /** The machine event stream's subscribers: the tracker, then the
+     *  checker or its mutator. */
+    EventStream _events;
     std::unique_ptr<MemCtrl> _mc;
     std::unique_ptr<CacheHierarchy> _caches;
     std::unique_ptr<LockManager> _locks;

@@ -65,8 +65,7 @@ TraceBundleKey::describe() const
 }
 
 std::shared_ptr<TraceBundle>
-TraceBundle::build(const TraceBundleKey &key,
-                   TraceWriteObserver *extra_observer, bool want_history)
+TraceBundle::build(const TraceBundleKey &key, bool want_history)
 {
     auto bundle = std::make_shared<TraceBundle>();
     bundle->key = key;
@@ -81,15 +80,13 @@ TraceBundle::build(const TraceBundleKey &key,
 
     auto history =
         want_history ? std::make_shared<WriteHistory>() : nullptr;
-    TeeWriteObserver tee(history.get(), extra_observer);
-    const bool observe = history || extra_observer;
     const unsigned threads = key.params.threads;
-    if (observe) {
+    if (history) {
         for (unsigned t = 0; t < threads; ++t)
-            bundle->workload->builder(t).setWriteObserver(&tee);
+            bundle->workload->builder(t).setWriteObserver(history.get());
     }
     bundle->workload->generateTraces();
-    if (observe) {
+    if (history) {
         for (unsigned t = 0; t < threads; ++t)
             bundle->workload->builder(t).setWriteObserver(nullptr);
     }

@@ -105,15 +105,11 @@ class TraceBundle
     std::map<Addr, std::uint64_t> lockMap;
 
     /**
-     * Execute the workload functionally and capture the bundle.
-     * @p extra_observer, when set, watches the recording exactly as
-     * FullSystem's trace_observer hook used to; @p want_history
-     * additionally records the replayable WriteHistory.
+     * Execute the workload functionally and capture the bundle;
+     * @p want_history also records the replayable WriteHistory.
      */
     static std::shared_ptr<TraceBundle>
-    build(const TraceBundleKey &key,
-          TraceWriteObserver *extra_observer = nullptr,
-          bool want_history = false);
+    build(const TraceBundleKey &key, bool want_history = false);
 
     /** Recompute lockMap from the traces (build and load both use it). */
     void computeLockMap();

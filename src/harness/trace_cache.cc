@@ -27,7 +27,7 @@ TraceCache::get(const TraceBundleKey &key, bool want_history)
             // keys proceed; same-key lookups block on the future.
             try {
                 promise.set_value(
-                    TraceBundle::build(key, nullptr, want_history));
+                    TraceBundle::build(key, want_history));
             } catch (...) {
                 promise.set_exception(std::current_exception());
                 const std::lock_guard<std::mutex> lock(_mutex);
@@ -41,7 +41,7 @@ TraceCache::get(const TraceBundleKey &key, bool want_history)
         if (want_history && !bundle->history) {
             // Rare upgrade: a plain bundle exists but the caller needs
             // the write history. Rebuild with history and replace.
-            auto upgraded = TraceBundle::build(key, nullptr, true);
+            auto upgraded = TraceBundle::build(key, true);
             const std::lock_guard<std::mutex> lock(_mutex);
             std::promise<std::shared_ptr<const TraceBundle>> done;
             done.set_value(upgraded);

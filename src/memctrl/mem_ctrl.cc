@@ -75,15 +75,13 @@ MemCtrl::MemCtrl(Simulator &sim, const SystemConfig &cfg, MemoryImage &nvm)
     }
 
     if (TraceEventSink *ts = sim.trace()) {
+        _traceSink = ts;
         if (ts->wants(TraceCatMemCtrl)) {
-            _traceSink = ts;
             _trkWpq = ts->defineTrack("mc.wpq");
             _trkLpq = ts->defineTrack("mc.lpq");
         }
-        if (_faults && ts->wants(TraceCatFaults)) {
-            _faultSink = ts;
+        if (_faults && ts->wants(TraceCatFaults))
             _trkFaults = ts->defineTrack("mc.faults");
-        }
     }
 }
 
@@ -150,17 +148,36 @@ MemCtrl::write(const WriteRequest &req)
     qw.seq = _acceptSeq++;
     qw.acceptedAt = _sim.now();
 
-    if (req.kind == WriteKind::Log || req.kind == WriteKind::AtomLog) {
+    const bool is_log = req.kind != WriteKind::Data;
+    const bool to_lpq = req.kind == WriteKind::Log && _useLpq;
+    // Write combining: a WPQ entry to the same block absorbs the new
+    // data (standard ADR write-pending-queue behavior). This also makes
+    // ATOM truncation naturally ordered: invalidating an entry that is
+    // still queued simply overwrites it in place.
+    const auto same =
+        to_lpq ? _wpq.end()
+               : std::find_if(_wpq.begin(), _wpq.end(),
+                              [&req](const QueuedWrite &w) {
+                                  return w.req.addr == req.addr;
+                              });
+    const bool combined = same != _wpq.end();
+    const Addr granule =
+        is_log ? logAlign(LogRecord::fromBytes(req.data.data()).fromAddr)
+               : invalidAddr;
+    if (_events) {
+        // A combined write creates no queue entry, but its data is
+        // newly durable all the same.
+        _events->post({.kind = EventKind::WriteAccept, .core = req.core,
+                       .tx = req.txId, .at = _sim.now(), .addr = req.addr,
+                       .granule = granule,
+                       .seq = combined ? same->seq : qw.seq,
+                       .data = req.data.data(), .lpq = to_lpq, .log = is_log,
+                       .combined = combined});
+    }
+
+    if (is_log) {
         ++_logWritesAccepted;
-        const LogRecord rec = LogRecord::fromBytes(req.data.data());
-        recordLogDurable(req.core, req.txId, logAlign(rec.fromAddr));
-        if (_pSink) {
-            _pSink->logWriteAccepted(req.core, req.txId, req.addr,
-                                     logAlign(rec.fromAddr), rec.seq,
-                                     req.kind == WriteKind::Log &&
-                                         _useLpq,
-                                     _sim.now());
-        }
+        recordLogDurable(req.core, req.txId, granule);
         if (req.kind == WriteKind::Log) {
             noteLogArrival(req.core, req.txId);
             ensureCore(req.core);
@@ -171,52 +188,28 @@ MemCtrl::write(const WriteRequest &req)
         ++_writesAccepted;
     }
 
-    if (req.kind == WriteKind::Log && _useLpq) {
-        if (_txObs)
-            _txObs->mcQueued(req.core, req.txId, true, _sim.now());
+    if (to_lpq) {
         _lpq.push_back(std::move(qw));
         return;
     }
-
-    // Write combining: a WPQ entry to the same block absorbs the new
-    // data (standard ADR write-pending-queue behavior). This also makes
-    // ATOM truncation naturally ordered: invalidating an entry that is
-    // still queued simply overwrites it in place.
-    for (QueuedWrite &w : _wpq) {
-        if (w.req.addr == req.addr) {
-            ++_writesCombined;
-            if (w.req.kind == WriteKind::AtomLog &&
-                req.kind != WriteKind::AtomLog) {
-                --_atomLogsQueued;
-            } else if (w.req.kind != WriteKind::AtomLog &&
-                       req.kind == WriteKind::AtomLog) {
-                ++_atomLogsQueued;
-            }
-            w.req.data = req.data;
-            w.req.kind = req.kind;
-            w.req.core = req.core;
-            w.req.txId = req.txId;
-            // The combined data is newly durable even though no new
-            // queue entry was created.
-            if (_pSink && req.kind == WriteKind::Data) {
-                _pSink->dataWriteAccepted(req.core, req.txId, req.addr,
-                                          w.seq, /*combined=*/true,
-                                          req.data.data(), _sim.now());
-            }
-            return;
+    if (combined) {
+        QueuedWrite &w = *same;
+        ++_writesCombined;
+        if (w.req.kind == WriteKind::AtomLog &&
+            req.kind != WriteKind::AtomLog) {
+            --_atomLogsQueued;
+        } else if (w.req.kind != WriteKind::AtomLog &&
+                   req.kind == WriteKind::AtomLog) {
+            ++_atomLogsQueued;
         }
+        w.req.data = req.data;
+        w.req.kind = req.kind;
+        w.req.core = req.core;
+        w.req.txId = req.txId;
+        return;
     }
     if (req.kind == WriteKind::AtomLog)
         ++_atomLogsQueued;
-    // Combined writes above are absorbed into an existing entry, so
-    // only a genuinely new WPQ entry counts as queued.
-    if (_txObs)
-        _txObs->mcQueued(req.core, req.txId, false, _sim.now());
-    if (_pSink && req.kind == WriteKind::Data) {
-        _pSink->dataWriteAccepted(req.core, req.txId, req.addr, qw.seq,
-                                  /*combined=*/false, req.data.data(),
-                                  _sim.now());
-    }
     _wpq.push_back(std::move(qw));
 }
 
@@ -234,10 +227,10 @@ MemCtrl::noteLogArrival(CoreId core, TxId tx)
     for (auto it = _lpq.begin(); it != _lpq.end(); ++it) {
         if (it->marker && it->req.core == core && it->req.txId != tx) {
             ++_markersDropped;
-            if (_pSink) {
-                _pSink->txEndMarker(core, it->req.txId,
-                                    analysis::MarkerOp::Dropped,
-                                    _sim.now());
+            if (_events) {
+                _events->post({.kind = EventKind::TxEndMarker, .core = core,
+                               .tx = it->req.txId, .at = _sim.now(),
+                               .op = MarkerOp::Dropped});
             }
             if (_logWriteRemoval)
                 _lpq.erase(it);
@@ -293,9 +286,9 @@ MemCtrl::txEnd(CoreId core, TxId tx)
         std::copy(bytes.begin(), bytes.end(),
                   _lpq[latest].req.data.begin());
         _lpq[latest].marker = true;
-        if (_pSink) {
-            _pSink->txEndMarker(core, tx, analysis::MarkerOp::Held,
-                                _sim.now());
+        if (_events) {
+            _events->post({.kind = EventKind::TxEndMarker, .core = core,
+                           .tx = tx, .at = _sim.now(), .op = MarkerOp::Held});
         }
 
         if (_logWriteRemoval) {
@@ -312,10 +305,10 @@ MemCtrl::txEnd(CoreId core, TxId tx)
                 }
             }
             _lpq.swap(kept);
-            if (_txObs && dropped)
-                _txObs->mcDropped(core, tx, dropped, _sim.now());
-            if (_pSink && dropped)
-                _pSink->lpqFlashCleared(core, tx, dropped, _sim.now());
+            if (_events && dropped) {
+                _events->post({.kind = EventKind::FlashClear, .core = core,
+                               .tx = tx, .at = _sim.now(), .count = dropped});
+            }
         }
         return;
     }
@@ -345,11 +338,6 @@ MemCtrl::txEnd(CoreId core, TxId tx)
             qw.marker = true;
             ++_markerWrites;
             _lpq.push_back(std::move(qw));
-            if (_pSink) {
-                _pSink->txEndMarker(core, tx,
-                                    analysis::MarkerOp::Rewritten,
-                                    _sim.now());
-            }
         } else {
             // Extremely rare; apply directly and charge a write. If the
             // entry's own array write is still in flight, its completion
@@ -372,11 +360,11 @@ MemCtrl::txEnd(CoreId core, TxId tx)
                 else
                     _nvm.write(last.addr, out.data(), out.size());
             }
-            if (_pSink) {
-                _pSink->txEndMarker(core, tx,
-                                    analysis::MarkerOp::Rewritten,
-                                    _sim.now());
-            }
+        }
+        if (_events) {
+            _events->post({.kind = EventKind::TxEndMarker, .core = core,
+                           .tx = tx, .at = _sim.now(),
+                           .op = MarkerOp::Rewritten});
         }
     }
 }
@@ -650,14 +638,12 @@ MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
     const CoreId req_core = w.req.core;
     const TxId req_tx = w.req.txId;
     const bool is_marker = w.marker;
-    // Markers are synthesized at tx-end with no meaningful acceptance
-    // time, so they stay invisible to the flight recorder.
-    if (_txObs && !is_marker) {
-        _txObs->mcIssued(req_core, req_tx, is_log_queue, w.acceptedAt,
-                         now);
+    if (_events) {
+        _events->post({.kind = EventKind::NvmIssue, .core = req_core,
+                       .tx = req_tx, .at = now, .addr = addr, .seq = seq,
+                       .since = w.acceptedAt, .lpq = is_log_queue,
+                       .marker = is_marker});
     }
-    if (_pSink)
-        _pSink->nvmWriteIssued(is_log_queue, addr, seq, now);
     if (!is_log_queue && w.req.kind == WriteKind::AtomLog)
         --_atomLogsQueued;
     if (is_log_queue) {
@@ -681,7 +667,7 @@ MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
         if (_faults) {
             const auto out = _faults->applyWrite(
                 _nvm, addr, dit->second.second.data());
-            if (_faultSink && out != faults::WriteOutcome::Clean) {
+            if (_trkFaults && out != faults::WriteOutcome::Clean) {
                 const char *what =
                     out == faults::WriteOutcome::Torn ? "torn-write"
                     : out == faults::WriteOutcome::Corrected
@@ -689,7 +675,7 @@ MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
                     : out == faults::WriteOutcome::Uncorrectable
                         ? "worn-uncorrectable"
                         : "silent-corruption";
-                _faultSink->instant(TraceCatFaults, _trkFaults, what,
+                _traceSink->instant(TraceCatFaults, _trkFaults, what,
                                     _sim.now());
             }
         } else {
@@ -704,12 +690,12 @@ MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
             --_inflightLogs;
         else
             --_inflightWrites;
-        if (_txObs && !is_marker) {
-            _txObs->nvmPersisted(req_core, req_tx, is_log_queue,
-                                 _sim.now());
+        if (_events) {
+            _events->post({.kind = EventKind::NvmPersist, .core = req_core,
+                           .tx = req_tx, .at = _sim.now(), .addr = addr,
+                           .seq = seq, .lpq = is_log_queue,
+                           .marker = is_marker});
         }
-        if (_pSink)
-            _pSink->nvmWritePersisted(is_log_queue, addr, seq, _sim.now());
     });
 }
 
@@ -755,8 +741,8 @@ MemCtrl::tryIssueRead(Tick now)
                     // can never jump past it.
                     const Tick back = _faults->backoff(attempt);
                     _faults->noteRetry(back);
-                    if (_faultSink) {
-                        _faultSink->instant(TraceCatFaults, _trkFaults,
+                    if (_trkFaults) {
+                        _traceSink->instant(TraceCatFaults, _trkFaults,
                                             "read-retry", _sim.now());
                     }
                     ++_pendingRetries;
@@ -774,8 +760,8 @@ MemCtrl::tryIssueRead(Tick now)
                 // the poison mark (recovery classification) and the
                 // faults.retriesExhausted counter.
                 _faults->noteRetriesExhausted(_nvm, raddr);
-                if (_faultSink) {
-                    _faultSink->instant(TraceCatFaults, _trkFaults,
+                if (_trkFaults) {
+                    _traceSink->instant(TraceCatFaults, _trkFaults,
                                         "retries-exhausted", _sim.now());
                 }
             }
@@ -907,7 +893,7 @@ MemCtrl::tick(Tick now)
     _wpqOccupancy.sample(_wpq.size());
     _inflightSample.sample(_inflightWrites);
     _lpqOccupancy.sample(_lpq.size() + _inflightLogs);
-    if (_traceSink) {
+    if (_trkWpq) {
         const auto wpq = static_cast<std::int64_t>(_wpq.size());
         const auto lpq =
             static_cast<std::int64_t>(_lpq.size() + _inflightLogs);

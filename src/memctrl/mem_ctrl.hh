@@ -26,13 +26,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "analysis/persist_sink.hh"
 #include "dram/nvm_timing.hh"
 #include "faults/fault_model.hh"
 #include "heap/memory_image.hh"
 #include "logging/log_record.hh"
-#include "obs/tx_observer.hh"
 #include "sim/config.hh"
+#include "sim/machine_event.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -165,20 +164,12 @@ class MemCtrl : public Ticked
     bool empty() const;
 
     /**
-     * Attach a transaction flight-recorder observer (nullptr detaches).
-     * Hooks fire on queue acceptance, NVM issue/persist, and tx-end
-     * flash-clears; synthesized tx-end markers are excluded (their
-     * acceptedAt is meaningless and they carry no payload write).
+     * Attach the machine event stream (nullptr detaches). Events fire
+     * on write acceptance (the ADR durability boundary), NVM array
+     * issue/persist, and the tx-end flash-clear / marker operations of
+     * Section 4.3.
      */
-    void setTxObserver(obs::TxObserver *obs) { _txObs = obs; }
-
-    /**
-     * Attach a persist-edge sink for the persistency-order checker
-     * (nullptr detaches). Hooks fire on write acceptance (the ADR
-     * durability boundary), NVM array issue/persist, and the tx-end
-     * flash-clear / marker operations of Section 4.3.
-     */
-    void setPersistSink(analysis::PersistSink *sink) { _pSink = sink; }
+    void setEventStream(const EventStream *events) { _events = events; }
 
     NvmTiming &dram() { return _dram; }
 
@@ -361,17 +352,16 @@ class MemCtrl : public Ticked
     double _preWriteNoCandidate = 0;
     /// @}
 
-    obs::TxObserver *_txObs = nullptr;
-    analysis::PersistSink *_pSink = nullptr;
+    const EventStream *_events = nullptr;
 
-    /// @name Trace-event output (memctrl category)
+    /// @name Trace-event output (memctrl and faults categories)
     /// @{
+    /** A category's track ids are non-zero only when the sink is
+     *  attached and the category is wanted (faults also needs fault
+     *  injection on). */
     TraceEventSink *_traceSink = nullptr;
     std::uint32_t _trkWpq = 0;
     std::uint32_t _trkLpq = 0;
-    /** Faults-category sink (instant events); null unless both fault
-     *  injection and the faults trace category are active. */
-    TraceEventSink *_faultSink = nullptr;
     std::uint32_t _trkFaults = 0;
     /** Last emitted counter values; counters are emitted on change only
      *  to bound trace volume. -1 forces the first emission. */

@@ -142,15 +142,6 @@ TxTracker::record(OpenTx *otx, Tick at, TxEvent::Kind kind,
 }
 
 void
-TxTracker::txBegin(CoreId core, TxId tx, Tick at)
-{
-    OpenTx &otx = open(core, tx);
-    otx.begun = true;
-    otx.beginTick = at;
-    record(&otx, at, TxEvent::Kind::Begin, 0);
-}
-
-void
 TxTracker::retain(TxTimeline &&tl)
 {
     if (_slowestK == 0)
@@ -221,119 +212,114 @@ TxTracker::close(CoreId core, TxId tx, Tick at, bool committed)
 }
 
 void
-TxTracker::txCommit(CoreId core, TxId tx, Tick at)
+TxTracker::on(const MachineEvent &ev)
 {
-    close(core, tx, at, true);
-}
-
-void
-TxTracker::txRollback(CoreId core, TxId tx, Tick at)
-{
-    close(core, tx, at, false);
-}
-
-void
-TxTracker::lockRequested(CoreId core, TxId tx, Addr addr, Tick at)
-{
-    ++_s.lockAcquires;
-    _pendingLocks.push_back(PendingLock{core, addr, tx, at});
-    record(find(core, tx), at, TxEvent::Kind::LockRequest, addr);
-}
-
-void
-TxTracker::lockGranted(CoreId core, TxId tx, Addr addr, Tick at)
-{
-    for (auto it = _pendingLocks.begin(); it != _pendingLocks.end();
-         ++it) {
-        if (it->core == core && it->addr == addr) {
-            dist(core, TxStage::LockWait)
-                .sample(static_cast<double>(at - it->at));
-            _pendingLocks.erase(it);
-            break;
+    const CoreId core = ev.core;
+    const TxId tx = ev.tx;
+    const Tick at = ev.at;
+    switch (ev.kind) {
+      case EventKind::TxBegin: {
+        OpenTx &otx = open(core, tx);
+        otx.begun = true;
+        otx.beginTick = at;
+        record(&otx, at, TxEvent::Kind::Begin, 0);
+        break;
+      }
+      case EventKind::TxCommit:
+        close(core, tx, at, true);
+        break;
+      case EventKind::TxRollback:
+        close(core, tx, at, false);
+        break;
+      case EventKind::LockRequest:
+        ++_s.lockAcquires;
+        _pendingLocks.push_back(PendingLock{core, ev.addr, tx, at});
+        record(find(core, tx), at, TxEvent::Kind::LockRequest, ev.addr);
+        break;
+      case EventKind::LockGrant:
+        for (auto it = _pendingLocks.begin(); it != _pendingLocks.end();
+             ++it) {
+            if (it->core == core && it->addr == ev.addr) {
+                dist(core, TxStage::LockWait)
+                    .sample(static_cast<double>(at - it->at));
+                _pendingLocks.erase(it);
+                break;
+            }
         }
+        record(find(core, tx), at, TxEvent::Kind::LockGrant, ev.addr);
+        break;
+      case EventKind::LogCreate: {
+        ++_s.logsCreated;
+        OpenTx *otx = tx ? &open(core, tx) : nullptr;
+        if (otx)
+            ++otx->logsCreated;
+        record(otx, at, TxEvent::Kind::LogCreate, 0);
+        break;
+      }
+      case EventKind::LogFilter: {
+        ++_s.logsFiltered;
+        OpenTx *otx = tx ? &open(core, tx) : nullptr;
+        if (otx)
+            ++otx->logsFiltered;
+        record(otx, at, TxEvent::Kind::LogFilter, 0);
+        break;
+      }
+      case EventKind::LogAck:
+        ++_s.logsAcked;
+        dist(core, TxStage::LogAck)
+            .sample(static_cast<double>(at - ev.since));
+        record(find(core, tx), at, TxEvent::Kind::LogAck, at - ev.since);
+        break;
+      case EventKind::CommitSlot: {
+        const auto s = static_cast<unsigned>(ev.slot);
+        _s.slotTotal[s] += ev.count;
+        if (tx == 0)
+            break;
+        _s.slotInTx[s] += ev.count;
+        // The begin event always precedes the first in-tx commit slot
+        // (both happen in the tx-begin retire tick, retire before
+        // accounting), so this lookup hits except for synthetic feeds.
+        open(core, tx).slots[s] += ev.count;
+        break;
+      }
+      case EventKind::WriteAccept:
+        // Combined writes are absorbed into an existing WPQ entry, so
+        // only a genuinely new queue entry counts as queued.
+        if (ev.combined)
+            break;
+        if (ev.lpq)
+            ++_s.mcLogQueued;
+        else
+            ++_s.mcDataQueued;
+        record(find(core, tx), at, TxEvent::Kind::McQueued, ev.lpq);
+        break;
+      case EventKind::NvmIssue:
+        // Markers are synthesized at tx-end with no meaningful
+        // acceptance time, so they stay invisible to the recorder.
+        if (ev.marker)
+            break;
+        ++_s.mcIssued;
+        dist(core, TxStage::McQueueWait)
+            .sample(static_cast<double>(at - ev.since));
+        record(find(core, tx), at, TxEvent::Kind::McIssued, at - ev.since);
+        break;
+      case EventKind::NvmPersist: {
+        if (ev.marker)
+            break;
+        ++_s.nvmPersists;
+        OpenTx *otx = tx ? find(core, tx) : nullptr;
+        if (tx != 0 && !otx)
+            ++_s.postCommitPersists;
+        record(otx, at, TxEvent::Kind::NvmPersist, ev.lpq);
+        break;
+      }
+      case EventKind::FlashClear:
+        _s.mcDropped += ev.count;
+        record(find(core, tx), at, TxEvent::Kind::McDropped, ev.count);
+        break;
+      default:
+        break;      // persist edges and markers: the checker's business
     }
-    record(find(core, tx), at, TxEvent::Kind::LockGrant, addr);
-}
-
-void
-TxTracker::logCreated(CoreId core, TxId tx, Tick at)
-{
-    ++_s.logsCreated;
-    OpenTx *otx = tx ? &open(core, tx) : nullptr;
-    if (otx)
-        ++otx->logsCreated;
-    record(otx, at, TxEvent::Kind::LogCreate, 0);
-}
-
-void
-TxTracker::logFiltered(CoreId core, TxId tx, Tick at)
-{
-    ++_s.logsFiltered;
-    OpenTx *otx = tx ? &open(core, tx) : nullptr;
-    if (otx)
-        ++otx->logsFiltered;
-    record(otx, at, TxEvent::Kind::LogFilter, 0);
-}
-
-void
-TxTracker::logAcked(CoreId core, TxId tx, Tick createdAt, Tick at)
-{
-    ++_s.logsAcked;
-    dist(core, TxStage::LogAck)
-        .sample(static_cast<double>(at - createdAt));
-    record(find(core, tx), at, TxEvent::Kind::LogAck, at - createdAt);
-}
-
-void
-TxTracker::commitSlot(CoreId core, TxId tx, TxSlot slot, std::uint64_t n)
-{
-    const auto s = static_cast<unsigned>(slot);
-    _s.slotTotal[s] += n;
-    if (tx == 0)
-        return;
-    _s.slotInTx[s] += n;
-    // The begin hook always precedes the first in-tx commit slot (both
-    // happen in the tx-begin retire tick, retire before accounting), so
-    // this lookup hits except for synthetic feeds.
-    open(core, tx).slots[s] += n;
-}
-
-void
-TxTracker::mcQueued(CoreId core, TxId tx, bool lpq, Tick at)
-{
-    if (lpq)
-        ++_s.mcLogQueued;
-    else
-        ++_s.mcDataQueued;
-    record(find(core, tx), at, TxEvent::Kind::McQueued, lpq);
-}
-
-void
-TxTracker::mcIssued(CoreId core, TxId tx, bool lpq, Tick acceptedAt,
-                    Tick at)
-{
-    ++_s.mcIssued;
-    dist(core, TxStage::McQueueWait)
-        .sample(static_cast<double>(at - acceptedAt));
-    record(find(core, tx), at, TxEvent::Kind::McIssued, at - acceptedAt);
-    (void)lpq;
-}
-
-void
-TxTracker::mcDropped(CoreId core, TxId tx, std::uint64_t n, Tick at)
-{
-    _s.mcDropped += n;
-    record(find(core, tx), at, TxEvent::Kind::McDropped, n);
-}
-
-void
-TxTracker::nvmPersisted(CoreId core, TxId tx, bool lpq, Tick at)
-{
-    ++_s.nvmPersists;
-    OpenTx *otx = tx ? find(core, tx) : nullptr;
-    if (tx != 0 && !otx)
-        ++_s.postCommitPersists;
-    record(otx, at, TxEvent::Kind::NvmPersist, lpq);
 }
 
 void

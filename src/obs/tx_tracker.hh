@@ -1,8 +1,8 @@
 /**
  * @file
- * The transaction flight recorder: a TxObserver that follows every
- * transaction from begin to durable commit and aggregates the spans
- * into streaming histograms.
+ * The transaction flight recorder: a machine-event subscriber that
+ * follows every transaction from begin to durable commit and aggregates
+ * the spans into streaming histograms.
  *
  * Memory stays bounded for arbitrarily long runs: per-transaction
  * state lives only while the transaction is in flight, every completed
@@ -16,7 +16,7 @@
  * registered with the simulation's main registry, so enabling the
  * recorder also surfaces the merged stages in StatRegistry::dumpJson.
  *
- * The per-cycle commitSlot feed gives each committed transaction an
+ * The per-cycle CommitSlot feed gives each committed transaction an
  * exact CPI-stack decomposition: the seven per-tx slot buckets sum to
  * commitTick - beginTick by construction, and the tracker's per-bucket
  * totals (slotTotal) equal the aggregate CpiStack counts — the
@@ -34,11 +34,14 @@
 #include <string>
 #include <vector>
 
-#include "obs/tx_observer.hh"
+#include "sim/machine_event.hh"
 #include "sim/stats.hh"
 
 namespace proteus {
 namespace obs {
+
+/** @return a short printable slot name, e.g. "persistStall". */
+const char *toString(TxSlot slot);
 
 /** Aggregated stages the recorder histograms (all in cycles except
  *  LogsPerTx, a per-transaction record count). */
@@ -148,7 +151,7 @@ struct TxStatsSummary
 };
 
 /** The flight recorder proper. */
-class TxTracker : public TxObserver
+class TxTracker : public EventSubscriber
 {
   public:
     /**
@@ -161,21 +164,9 @@ class TxTracker : public TxObserver
               unsigned slowestK);
     ~TxTracker() override;
 
-    void txBegin(CoreId core, TxId tx, Tick at) override;
-    void txCommit(CoreId core, TxId tx, Tick at) override;
-    void txRollback(CoreId core, TxId tx, Tick at) override;
-    void lockRequested(CoreId core, TxId tx, Addr addr, Tick at) override;
-    void lockGranted(CoreId core, TxId tx, Addr addr, Tick at) override;
-    void logCreated(CoreId core, TxId tx, Tick at) override;
-    void logFiltered(CoreId core, TxId tx, Tick at) override;
-    void logAcked(CoreId core, TxId tx, Tick createdAt, Tick at) override;
-    void commitSlot(CoreId core, TxId tx, TxSlot slot,
-                    std::uint64_t n) override;
-    void mcQueued(CoreId core, TxId tx, bool lpq, Tick at) override;
-    void mcIssued(CoreId core, TxId tx, bool lpq, Tick acceptedAt,
-                  Tick at) override;
-    void mcDropped(CoreId core, TxId tx, std::uint64_t n, Tick at) override;
-    void nvmPersisted(CoreId core, TxId tx, bool lpq, Tick at) override;
+    /** Follows the transaction events; ignores persist edges, tx-end
+     *  markers and write-combined acceptances. */
+    void on(const MachineEvent &ev) override;
 
     /**
      * Merge the per-core distributions into the main-registry "tx.*"

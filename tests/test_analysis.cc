@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "analysis/persist_checker.hh"
 #include "analysis/rules.hh"
 #include "harness/check_runner.hh"
+#include "obs/tx_stats_io.hh"
 
 namespace proteus {
 namespace {
@@ -97,12 +100,15 @@ ruleViolations(const PersistChecker &c, Rule r)
 TEST(AnalysisRules, LogBeforeDataFiresWithoutCoverage)
 {
     PersistChecker c = makeChecker();
-    c.txBegin(0, 1, 10);
-    c.storeRetired(0, 1, 0x1000, 8, true, 7, 11);
-    c.storeReleased(0, 1, 0x1000, 8, 7, 12);
+    c.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    c.on({.kind = EventKind::StoreRetire, .core = 0, .tx = 1, .at = 11,
+          .addr = 0x1000, .seq = 7, .size = 8, .persistent = true});
+    c.on({.kind = EventKind::StoreRelease, .core = 0, .tx = 1, .at = 12,
+          .addr = 0x1000, .seq = 7, .size = 8});
     // A data write covering the granule is accepted at the MC while
     // the transaction is in flight and no log entry is durable.
-    c.dataWriteAccepted(0, 1, 0x1000, 1, false, nullptr, 13);
+    c.on({.kind = EventKind::WriteAccept, .core = 0, .tx = 1, .at = 13,
+          .addr = 0x1000, .seq = 1});
     EXPECT_EQ(1u, ruleViolations(c, Rule::LogBeforeData));
     EXPECT_FALSE(c.outcome().pass());
     EXPECT_EQ("synthetic", c.outcome().repro);
@@ -111,11 +117,16 @@ TEST(AnalysisRules, LogBeforeDataFiresWithoutCoverage)
 TEST(AnalysisRules, LogBeforeDataPassesWithDurableEntry)
 {
     PersistChecker c = makeChecker();
-    c.txBegin(0, 1, 10);
-    c.storeRetired(0, 1, 0x1000, 8, true, 7, 11);
-    c.logWriteAccepted(0, 1, 0x9000, logAlign(0x1000), 1, true, 12);
-    c.storeReleased(0, 1, 0x1000, 8, 7, 13);
-    c.dataWriteAccepted(0, 1, 0x1000, 1, false, nullptr, 14);
+    c.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    c.on({.kind = EventKind::StoreRetire, .core = 0, .tx = 1, .at = 11,
+          .addr = 0x1000, .seq = 7, .size = 8, .persistent = true});
+    c.on({.kind = EventKind::WriteAccept, .core = 0, .tx = 1, .at = 12,
+          .addr = 0x9000, .granule = logAlign(0x1000), .seq = 1, .lpq = true,
+          .log = true});
+    c.on({.kind = EventKind::StoreRelease, .core = 0, .tx = 1, .at = 13,
+          .addr = 0x1000, .seq = 7, .size = 8});
+    c.on({.kind = EventKind::WriteAccept, .core = 0, .tx = 1, .at = 14,
+          .addr = 0x1000, .seq = 1});
     EXPECT_EQ(0u, ruleViolations(c, Rule::LogBeforeData));
     // The rule was exercised, not vacuously skipped.
     EXPECT_GT(c.outcome()
@@ -127,84 +138,109 @@ TEST(AnalysisRules, LogBeforeDataPassesWithDurableEntry)
 TEST(AnalysisRules, EntriesBeforeTxEndFiresOnMissingAck)
 {
     PersistChecker c = makeChecker();
-    c.txBegin(0, 1, 10);
-    c.logCreated(0, 1, 11);
-    c.logCreated(0, 1, 12);
-    c.logAcked(0, 1, 11, 13);
-    c.durablePoint(0, 1, 14);   // one record still un-acked
+    c.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    c.on({.kind = EventKind::LogCreate, .core = 0, .tx = 1, .at = 11});
+    c.on({.kind = EventKind::LogCreate, .core = 0, .tx = 1, .at = 12});
+    c.on({.kind = EventKind::LogAck, .core = 0, .tx = 1, .at = 13,
+          .since = 11});
+    // one record still un-acked
+    c.on({.kind = EventKind::DurablePoint, .core = 0, .tx = 1, .at = 14});
     EXPECT_EQ(1u, ruleViolations(c, Rule::EntriesBeforeTxEnd));
 
     PersistChecker ok = makeChecker();
-    ok.txBegin(0, 1, 10);
-    ok.logCreated(0, 1, 11);
-    ok.logAcked(0, 1, 11, 12);
-    ok.durablePoint(0, 1, 13);
+    ok.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    ok.on({.kind = EventKind::LogCreate, .core = 0, .tx = 1, .at = 11});
+    ok.on({.kind = EventKind::LogAck, .core = 0, .tx = 1, .at = 12,
+           .since = 11});
+    ok.on({.kind = EventKind::DurablePoint, .core = 0, .tx = 1, .at = 13});
     EXPECT_EQ(0u, ruleViolations(ok, Rule::EntriesBeforeTxEnd));
 }
 
 TEST(AnalysisRules, FlashClearBeforeDurableCommitFires)
 {
     PersistChecker c = makeChecker();
-    c.txBegin(0, 1, 10);
-    c.lpqFlashCleared(0, 1, 3, 11);     // before the durable point
-    c.durablePoint(0, 1, 12);
-    c.lpqFlashCleared(0, 1, 3, 13);     // after: fine
-    c.txEndMarker(0, 1, analysis::MarkerOp::Held, 14);
+    c.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    c.on({.kind = EventKind::FlashClear, .core = 0, .tx = 1, .at = 11,
+          .count = 3});  // before the durable point
+    c.on({.kind = EventKind::DurablePoint, .core = 0, .tx = 1, .at = 12});
+    c.on({.kind = EventKind::FlashClear, .core = 0, .tx = 1, .at = 13,
+          .count = 3});  // after: fine
+    c.on({.kind = EventKind::TxEndMarker, .core = 0, .tx = 1, .at = 14,
+          .op = MarkerOp::Held});
     EXPECT_EQ(1u, ruleViolations(c, Rule::FlashClearAfterCommit));
 }
 
 TEST(AnalysisRules, FifoPerAddressFiresOnReorder)
 {
     PersistChecker c = makeChecker();
-    c.nvmWriteIssued(false, 0x2000, 5, 10);
-    c.nvmWriteIssued(false, 0x2000, 5, 11);     // duplicate/reorder
+    c.on({.kind = EventKind::NvmIssue, .at = 10, .addr = 0x2000, .seq = 5});
+    // duplicate/reorder
+    c.on({.kind = EventKind::NvmIssue, .at = 11, .addr = 0x2000, .seq = 5});
     EXPECT_EQ(1u, ruleViolations(c, Rule::FifoPerAddress));
 
     PersistChecker ok = makeChecker();
-    ok.nvmWriteIssued(false, 0x2000, 5, 10);
-    ok.nvmWriteIssued(false, 0x2040, 3, 11);    // other block: own order
-    ok.nvmWriteIssued(true, 0x2000, 3, 12);     // other queue: own order
-    ok.nvmWriteIssued(false, 0x2000, 6, 13);
-    ok.nvmWritePersisted(false, 0x2000, 5, 14);
-    ok.nvmWritePersisted(false, 0x2000, 6, 15);
+    ok.on({.kind = EventKind::NvmIssue, .at = 10, .addr = 0x2000, .seq = 5});
+    // other block: own order
+    ok.on({.kind = EventKind::NvmIssue, .at = 11, .addr = 0x2040, .seq = 3});
+    ok.on({.kind = EventKind::NvmIssue, .at = 12, .addr = 0x2000, .seq = 3,
+           .lpq = true});  // other queue: own order
+    ok.on({.kind = EventKind::NvmIssue, .at = 13, .addr = 0x2000, .seq = 6});
+    ok.on({.kind = EventKind::NvmPersist, .at = 14, .addr = 0x2000, .seq = 5});
+    ok.on({.kind = EventKind::NvmPersist, .at = 15, .addr = 0x2000, .seq = 6});
     EXPECT_EQ(0u, ruleViolations(ok, Rule::FifoPerAddress));
 }
 
 TEST(AnalysisRules, DurableByCommitFiresOnMissingAcceptance)
 {
     PersistChecker c = makeChecker();
-    c.txBegin(0, 1, 10);
-    c.storeRetired(0, 1, 0x3000, 8, true, 9, 11);
-    c.durablePoint(0, 1, 12);   // no MC acceptance of the block
+    c.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    c.on({.kind = EventKind::StoreRetire, .core = 0, .tx = 1, .at = 11,
+          .addr = 0x3000, .seq = 9, .size = 8, .persistent = true});
+    // no MC acceptance of the block
+    c.on({.kind = EventKind::DurablePoint, .core = 0, .tx = 1, .at = 12});
     EXPECT_EQ(1u, ruleViolations(c, Rule::DurableByCommit));
 
     PersistChecker ok = makeChecker();
-    ok.txBegin(0, 1, 10);
-    ok.storeRetired(0, 1, 0x3000, 8, true, 9, 11);
-    ok.logWriteAccepted(0, 1, 0x9000, logAlign(0x3000), 1, true, 12);
-    ok.storeReleased(0, 1, 0x3000, 8, 9, 13);
-    ok.dataWriteAccepted(0, 1, 0x3000, 1, false, nullptr, 14);
-    ok.durablePoint(0, 1, 15);
+    ok.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    ok.on({.kind = EventKind::StoreRetire, .core = 0, .tx = 1, .at = 11,
+           .addr = 0x3000, .seq = 9, .size = 8, .persistent = true});
+    ok.on({.kind = EventKind::WriteAccept, .core = 0, .tx = 1, .at = 12,
+           .addr = 0x9000, .granule = logAlign(0x3000), .seq = 1, .lpq = true,
+           .log = true});
+    ok.on({.kind = EventKind::StoreRelease, .core = 0, .tx = 1, .at = 13,
+           .addr = 0x3000, .seq = 9, .size = 8});
+    ok.on({.kind = EventKind::WriteAccept, .core = 0, .tx = 1, .at = 14,
+           .addr = 0x3000, .seq = 1});
+    ok.on({.kind = EventKind::DurablePoint, .core = 0, .tx = 1, .at = 15});
     EXPECT_EQ(0u, ruleViolations(ok, Rule::DurableByCommit));
 }
 
 TEST(AnalysisRules, LockDisciplineFiresOnUnlockedCrossCoreWrite)
 {
     PersistChecker c = makeChecker();
-    c.txBegin(0, 1, 10);
-    c.txBegin(1, 2, 10);
-    c.storeRetired(0, 1, 0x4000, 8, true, 1, 11);
-    c.storeRetired(1, 2, 0x4000, 8, true, 1, 12);   // no locks at all
+    c.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    c.on({.kind = EventKind::TxBegin, .core = 1, .tx = 2, .at = 10});
+    c.on({.kind = EventKind::StoreRetire, .core = 0, .tx = 1, .at = 11,
+          .addr = 0x4000, .seq = 1, .size = 8, .persistent = true});
+    // no locks at all
+    c.on({.kind = EventKind::StoreRetire, .core = 1, .tx = 2, .at = 12,
+          .addr = 0x4000, .seq = 1, .size = 8, .persistent = true});
     EXPECT_EQ(1u, ruleViolations(c, Rule::LockDiscipline));
 
     PersistChecker ok = makeChecker();
-    ok.txBegin(0, 1, 10);
-    ok.txBegin(1, 2, 10);
-    ok.lockGranted(0, 1, 0x8000, 10);
-    ok.storeRetired(0, 1, 0x4000, 8, true, 1, 11);
-    ok.lockReleased(0, 0x8000, 12);
-    ok.lockGranted(1, 2, 0x8000, 13);
-    ok.storeRetired(1, 2, 0x4000, 8, true, 1, 14);  // same lock held
+    ok.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    ok.on({.kind = EventKind::TxBegin, .core = 1, .tx = 2, .at = 10});
+    ok.on({.kind = EventKind::LockGrant, .core = 0, .tx = 1, .at = 10,
+           .addr = 0x8000});
+    ok.on({.kind = EventKind::StoreRetire, .core = 0, .tx = 1, .at = 11,
+           .addr = 0x4000, .seq = 1, .size = 8, .persistent = true});
+    ok.on({.kind = EventKind::LockRelease, .core = 0, .at = 12,
+           .addr = 0x8000});
+    ok.on({.kind = EventKind::LockGrant, .core = 1, .tx = 2, .at = 13,
+           .addr = 0x8000});
+    // same lock held
+    ok.on({.kind = EventKind::StoreRetire, .core = 1, .tx = 2, .at = 14,
+           .addr = 0x4000, .seq = 1, .size = 8, .persistent = true});
     EXPECT_EQ(0u, ruleViolations(ok, Rule::LockDiscipline));
 }
 
@@ -215,14 +251,19 @@ TEST(AnalysisRules, LockDisciplineAcceptsCommitOrderedHandoff)
     // the happens-before edge (node freed in tx 1, re-allocated and
     // rewritten in tx 2 under a different lock).
     PersistChecker c = makeChecker();
-    c.txBegin(0, 1, 10);
-    c.lockGranted(0, 1, 0x8000, 10);
-    c.storeRetired(0, 1, 0x4000, 8, true, 1, 11);
-    c.lockReleased(0, 0x8000, 12);
-    c.txCommit(0, 1, 13);
-    c.txBegin(1, 2, 20);
-    c.lockGranted(1, 2, 0x9000, 20);    // different lock
-    c.storeRetired(1, 2, 0x4000, 8, true, 1, 21);
+    c.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    c.on({.kind = EventKind::LockGrant, .core = 0, .tx = 1, .at = 10,
+          .addr = 0x8000});
+    c.on({.kind = EventKind::StoreRetire, .core = 0, .tx = 1, .at = 11,
+          .addr = 0x4000, .seq = 1, .size = 8, .persistent = true});
+    c.on({.kind = EventKind::LockRelease, .core = 0, .at = 12,
+          .addr = 0x8000});
+    c.on({.kind = EventKind::TxCommit, .core = 0, .tx = 1, .at = 13});
+    c.on({.kind = EventKind::TxBegin, .core = 1, .tx = 2, .at = 20});
+    c.on({.kind = EventKind::LockGrant, .core = 1, .tx = 2, .at = 20,
+          .addr = 0x9000});  // different lock
+    c.on({.kind = EventKind::StoreRetire, .core = 1, .tx = 2, .at = 21,
+          .addr = 0x4000, .seq = 1, .size = 8, .persistent = true});
     EXPECT_EQ(0u, ruleViolations(c, Rule::LockDiscipline));
     EXPECT_EQ(1u, c.outcome().rules[
         static_cast<unsigned>(Rule::LockDiscipline)].checks);
@@ -230,30 +271,42 @@ TEST(AnalysisRules, LockDisciplineAcceptsCommitOrderedHandoff)
     // Overlap kills the excuse: same hand-off, but the second tx
     // began before the first committed.
     PersistChecker bad = makeChecker();
-    bad.txBegin(0, 1, 10);
-    bad.txBegin(1, 2, 11);              // overlaps tx 1
-    bad.lockGranted(0, 1, 0x8000, 10);
-    bad.storeRetired(0, 1, 0x4000, 8, true, 1, 12);
-    bad.lockReleased(0, 0x8000, 13);
-    bad.txCommit(0, 1, 14);
-    bad.lockGranted(1, 2, 0x9000, 15);
-    bad.storeRetired(1, 2, 0x4000, 8, true, 1, 16);
+    bad.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    // overlaps tx 1
+    bad.on({.kind = EventKind::TxBegin, .core = 1, .tx = 2, .at = 11});
+    bad.on({.kind = EventKind::LockGrant, .core = 0, .tx = 1, .at = 10,
+            .addr = 0x8000});
+    bad.on({.kind = EventKind::StoreRetire, .core = 0, .tx = 1, .at = 12,
+            .addr = 0x4000, .seq = 1, .size = 8, .persistent = true});
+    bad.on({.kind = EventKind::LockRelease, .core = 0, .at = 13,
+            .addr = 0x8000});
+    bad.on({.kind = EventKind::TxCommit, .core = 0, .tx = 1, .at = 14});
+    bad.on({.kind = EventKind::LockGrant, .core = 1, .tx = 2, .at = 15,
+            .addr = 0x9000});
+    bad.on({.kind = EventKind::StoreRetire, .core = 1, .tx = 2, .at = 16,
+            .addr = 0x4000, .seq = 1, .size = 8, .persistent = true});
     EXPECT_EQ(1u, ruleViolations(bad, Rule::LockDiscipline));
 }
 
 TEST(AnalysisRules, CommitPrunesWriterState)
 {
     PersistChecker c = makeChecker();
-    c.txBegin(0, 1, 10);
-    c.storeRetired(0, 1, 0x5000, 8, true, 1, 11);
-    c.logWriteAccepted(0, 1, 0x9000, logAlign(0x5000), 1, true, 12);
-    c.storeReleased(0, 1, 0x5000, 8, 1, 13);
-    c.dataWriteAccepted(0, 1, 0x5000, 1, false, nullptr, 14);
-    c.durablePoint(0, 1, 15);
-    c.txCommit(0, 1, 16);
+    c.on({.kind = EventKind::TxBegin, .core = 0, .tx = 1, .at = 10});
+    c.on({.kind = EventKind::StoreRetire, .core = 0, .tx = 1, .at = 11,
+          .addr = 0x5000, .seq = 1, .size = 8, .persistent = true});
+    c.on({.kind = EventKind::WriteAccept, .core = 0, .tx = 1, .at = 12,
+          .addr = 0x9000, .granule = logAlign(0x5000), .seq = 1, .lpq = true,
+          .log = true});
+    c.on({.kind = EventKind::StoreRelease, .core = 0, .tx = 1, .at = 13,
+          .addr = 0x5000, .seq = 1, .size = 8});
+    c.on({.kind = EventKind::WriteAccept, .core = 0, .tx = 1, .at = 14,
+          .addr = 0x5000, .seq = 1});
+    c.on({.kind = EventKind::DurablePoint, .core = 0, .tx = 1, .at = 15});
+    c.on({.kind = EventKind::TxCommit, .core = 0, .tx = 1, .at = 16});
     // A later unrelated acceptance of the same granule must not charge
     // the committed transaction.
-    c.dataWriteAccepted(0, 0, 0x5000, 2, false, nullptr, 20);
+    c.on({.kind = EventKind::WriteAccept, .core = 0, .tx = 0, .at = 20,
+          .addr = 0x5000, .seq = 2});
     EXPECT_EQ(0u, c.outcome().totalViolations);
 }
 
@@ -262,8 +315,8 @@ TEST(AnalysisRules, ViolationReportsAreCapped)
     PersistChecker c = makeChecker();
     for (unsigned i = 0; i < 2 * analysis::reportCap; ++i) {
         const Addr block = 0x10000 + Addr{i} * blockSize;
-        c.nvmWriteIssued(false, block, 5, 10);
-        c.nvmWriteIssued(false, block, 5, 11);
+        c.on({.kind = EventKind::NvmIssue, .at = 10, .addr = block, .seq = 5});
+        c.on({.kind = EventKind::NvmIssue, .at = 11, .addr = block, .seq = 5});
     }
     const analysis::CheckOutcome out = c.outcome();
     EXPECT_EQ(2 * analysis::reportCap, out.totalViolations);
@@ -347,6 +400,56 @@ TEST(AnalysisDeterminism, JsonByteIdenticalAcrossCycleSkip)
         checkRowsJson(runCheckBatch(allSchemes(),
                                     {WorkloadKind::Queue}, opts));
     EXPECT_EQ(skip, noskip);
+}
+
+TEST(EventStream, SubscribersMatchTheirSoloRuns)
+{
+    // The tracker and the checker share one event stream; neither may
+    // see (or perturb) anything the other's presence changes. One
+    // workload per scheme, cycle skipping on and off.
+    const std::pair<LogScheme, WorkloadKind> cells[] = {
+        {LogScheme::PMEM, WorkloadKind::Queue},
+        {LogScheme::PMEMPCommit, WorkloadKind::HashMap},
+        {LogScheme::PMEMNoLog, WorkloadKind::StringSwap},
+        {LogScheme::ATOM, WorkloadKind::AvlTree},
+        {LogScheme::Proteus, WorkloadKind::BTree},
+        {LogScheme::ProteusNoLWR, WorkloadKind::RbTree},
+    };
+    for (const bool skip : {true, false}) {
+        for (const auto &[scheme, kind] : cells) {
+            BenchOptions opts = checkOpts();
+            opts.cycleSkip = skip;
+            const RunSpec spec = opts.spec.with(scheme, kind);
+            const auto txJson = [&spec](const RunResult &r) {
+                std::ostringstream os;
+                obs::writeTxStatsJson(os, {makeTxStatsRow(spec, r)});
+                return os.str();
+            };
+            const auto checkJson = [&spec](const RunResult &r) {
+                return checkRowsJson(
+                    {CheckRow{spec.scheme, spec.kind, r, *r.check}});
+            };
+
+            opts.txTrack = true;
+            const RunResult tracked = runExperiment(spec, opts);
+            opts.check = true;
+            const RunResult both = runExperiment(spec, opts);
+            opts.txTrack = false;
+            const RunResult checked = runExperiment(spec, opts);
+            ASSERT_TRUE(tracked.txStats && both.txStats && both.check &&
+                        checked.check);
+            EXPECT_FALSE(tracked.check);
+            EXPECT_FALSE(checked.txStats);
+            EXPECT_GT(tracked.txStats->committedTxs, 0u);
+            EXPECT_GT(checked.check->eventsSeen, 0u);
+
+            const std::string where = std::string(toString(scheme)) +
+                                      " / " + toString(kind) +
+                                      (skip ? " skip" : " no-skip");
+            EXPECT_EQ(txJson(tracked), txJson(both)) << where;
+            EXPECT_EQ(checkJson(checked), checkJson(both)) << where;
+        }
+    }
 }
 
 TEST(AnalysisMutation, EveryArmedRuleFiresOnProteus)

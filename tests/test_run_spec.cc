@@ -18,6 +18,7 @@
 #include "harness/experiments.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "workloads/registry.hh"
 
 namespace proteus {
 namespace {
@@ -38,6 +39,24 @@ argsAfter(const std::string &line, const std::string &prefix)
 {
     EXPECT_EQ(line.rfind(prefix, 0), 0u) << line;
     return split(line.substr(prefix.size()));
+}
+
+/** The run a `proteus-check run` line reproduces, read back with
+ *  proteus-check's own parser. */
+RunSpec
+checkLineSpec(const std::string &line)
+{
+    const std::vector<std::string> args =
+        argsAfter(line, "proteus-check run ");
+    if (args.empty())
+        return {};
+    const CheckArgs parsed =
+        parseCheckArgs({args.begin() + 1, args.end()});
+    EXPECT_EQ(parsed.schemes.size(), 1u) << line;
+    if (parsed.schemes.size() != 1)
+        return {};
+    return parsed.opts.spec.with(parsed.schemes[0],
+                                 parseWorkload(args[0]));
 }
 
 /** The FatalError text of parsing @p args ("" if it parsed). */
@@ -222,21 +241,21 @@ TEST(RunSpec, CheckReproLinesParseBackToTheirRun)
                                 "--init-scale", "100", "--dram", "--set",
                                 "logging.logQEntries=8", "--wl-spec",
                                 "keyspace=512,ops=100"});
-    for (WorkloadKind kind : {WorkloadKind::Queue, WorkloadKind::Generated}) {
-        const RunSpec spec = opts.spec.with(LogScheme::ATOM, kind);
+    // A table3-style linked list carries --elements-per-node.
+    RunSpec list = opts.spec.with(LogScheme::ATOM, WorkloadKind::LinkedList);
+    list.ll.elementsPerNode = 2048;
+    for (const RunSpec &spec :
+         {opts.spec.with(LogScheme::ATOM, WorkloadKind::Queue),
+          opts.spec.with(LogScheme::ATOM, WorkloadKind::Generated), list}) {
         const CheckRow row = runCheck(spec, opts);
-        EXPECT_EQ(RunSpec::parse(
-                      argsAfter(row.outcome.repro, "proteus-check run ")),
-                  spec)
+        EXPECT_EQ(checkLineSpec(row.outcome.repro), spec)
             << row.outcome.repro;
     }
 
     // Faults ride along too.
     RunSpec faulty = opts.spec.with(LogScheme::PMEM, WorkloadKind::Queue);
     faulty.faults = faults::parseFaultSpec("readflip=0.001,seed=5");
-    EXPECT_EQ(RunSpec::parse(
-                  argsAfter(checkReproLine(faulty), "proteus-check run ")),
-              faulty);
+    EXPECT_EQ(checkLineSpec(checkReproLine(faulty)), faulty);
 
     // A replay line names the file plus the machine flags.
     const RunSpec replayed = opts.spec.forBundle(faulty.key());
@@ -255,9 +274,7 @@ TEST(RunSpec, CrashtestReproLinesParseBackToTheirPair)
     opts.faults = faults::parseFaultSpec("torn=0.01");
     const RunSpec pair =
         opts.pairSpec(LogScheme::Proteus, WorkloadKind::Queue);
-    EXPECT_EQ(RunSpec::parse(
-                  argsAfter(checkReproLine(pair), "proteus-check run ")),
-              pair);
+    EXPECT_EQ(checkLineSpec(checkReproLine(pair)), pair);
 
     // Replay lines: each mode, with faults and a workload spec.
     CrashPairResult result;

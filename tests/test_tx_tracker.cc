@@ -79,21 +79,31 @@ TEST(TxTracker, SpanChainInvariants)
     const CoreId c = 0;
     const TxId tx = 7;
 
-    trk.commitSlot(c, 0, obs::TxSlot::Base, 10);    // outside any tx
-    trk.txBegin(c, tx, 100);
-    trk.lockRequested(c, tx, 0x40, 100);
-    trk.lockGranted(c, tx, 0x40, 115);
-    trk.commitSlot(c, tx, obs::TxSlot::LockWait, 15);
-    trk.logCreated(c, tx, 120);
-    trk.logFiltered(c, tx, 125);
-    trk.mcQueued(c, tx, true, 130);
-    trk.logAcked(c, tx, 120, 150);
-    trk.mcIssued(c, tx, true, 130, 160);
-    trk.nvmPersisted(c, tx, true, 180);
-    trk.commitSlot(c, tx, obs::TxSlot::Base, 80);
-    trk.commitSlot(c, tx, obs::TxSlot::PersistStall, 5);
-    trk.txCommit(c, tx, 200);
-    trk.nvmPersisted(c, tx, false, 220);    // lazy post-commit drain
+    trk.on({.kind = EventKind::CommitSlot, .core = c,
+            .count = 10});  // outside any tx
+    trk.on({.kind = EventKind::TxBegin, .core = c, .tx = tx, .at = 100});
+    trk.on({.kind = EventKind::LockRequest, .core = c, .tx = tx, .at = 100,
+            .addr = 0x40});
+    trk.on({.kind = EventKind::LockGrant, .core = c, .tx = tx, .at = 115,
+            .addr = 0x40});
+    trk.on({.kind = EventKind::CommitSlot, .core = c, .tx = tx, .count = 15,
+            .slot = TxSlot::LockWait});
+    trk.on({.kind = EventKind::LogCreate, .core = c, .tx = tx, .at = 120});
+    trk.on({.kind = EventKind::LogFilter, .core = c, .tx = tx, .at = 125});
+    trk.on({.kind = EventKind::WriteAccept, .core = c, .tx = tx, .at = 130,
+            .lpq = true, .log = true});
+    trk.on({.kind = EventKind::LogAck, .core = c, .tx = tx, .at = 150,
+            .since = 120});
+    trk.on({.kind = EventKind::NvmIssue, .core = c, .tx = tx, .at = 160,
+            .since = 130, .lpq = true});
+    trk.on({.kind = EventKind::NvmPersist, .core = c, .tx = tx, .at = 180,
+            .lpq = true});
+    trk.on({.kind = EventKind::CommitSlot, .core = c, .tx = tx, .count = 80});
+    trk.on({.kind = EventKind::CommitSlot, .core = c, .tx = tx, .count = 5,
+            .slot = TxSlot::PersistStall});
+    trk.on({.kind = EventKind::TxCommit, .core = c, .tx = tx, .at = 200});
+    trk.on({.kind = EventKind::NvmPersist, .core = c, .tx = tx,
+            .at = 220});    // lazy post-commit drain
 
     const obs::TxStatsSummary s = trk.summary();
     EXPECT_EQ(s.committedTxs, 1u);
@@ -110,9 +120,9 @@ TEST(TxTracker, SpanChainInvariants)
 
     // Slot accounting: totals include the out-of-tx cycles, in-tx does
     // not, and the per-tx buckets sum to commit - begin.
-    const auto base = static_cast<unsigned>(obs::TxSlot::Base);
-    const auto lock = static_cast<unsigned>(obs::TxSlot::LockWait);
-    const auto stall = static_cast<unsigned>(obs::TxSlot::PersistStall);
+    const auto base = static_cast<unsigned>(TxSlot::Base);
+    const auto lock = static_cast<unsigned>(TxSlot::LockWait);
+    const auto stall = static_cast<unsigned>(TxSlot::PersistStall);
     EXPECT_EQ(s.slotTotal[base], 90u);
     EXPECT_EQ(s.slotInTx[base], 80u);
     EXPECT_EQ(s.slotTotal[lock], 15u);
@@ -125,7 +135,7 @@ TEST(TxTracker, SpanChainInvariants)
     for (std::uint64_t v : tl.slots)
         slot_sum += v;
     EXPECT_EQ(slot_sum, tl.latency);
-    EXPECT_EQ(tl.critPath, obs::TxSlot::Base);
+    EXPECT_EQ(tl.critPath, TxSlot::Base);
     ASSERT_GE(tl.events.size(), 2u);
     EXPECT_EQ(tl.events.front().kind, obs::TxEvent::Kind::Begin);
     // Events are recorded in chain order, commit last (the post-commit
@@ -152,9 +162,9 @@ TEST(TxTracker, RollbackCountsWithoutCommitSample)
 {
     stats::StatRegistry reg;
     obs::TxTracker trk(reg, 1, 4);
-    trk.txBegin(0, 5, 10);
-    trk.commitSlot(0, 5, obs::TxSlot::Base, 20);
-    trk.txRollback(0, 5, 30);
+    trk.on({.kind = EventKind::TxBegin, .tx = 5, .at = 10});
+    trk.on({.kind = EventKind::CommitSlot, .tx = 5, .count = 20});
+    trk.on({.kind = EventKind::TxRollback, .tx = 5, .at = 30});
 
     const obs::TxStatsSummary s = trk.summary();
     EXPECT_EQ(s.committedTxs, 0u);
@@ -165,7 +175,7 @@ TEST(TxTracker, RollbackCountsWithoutCommitSample)
     EXPECT_EQ(s.stages[cl].count, 0u);      // no latency sample
     EXPECT_TRUE(s.slowest.empty());         // no timeline retained
     // The cycles it burned still count in the slot totals.
-    EXPECT_EQ(s.slotTotal[static_cast<unsigned>(obs::TxSlot::Base)],
+    EXPECT_EQ(s.slotTotal[static_cast<unsigned>(TxSlot::Base)],
               20u);
 }
 
@@ -174,9 +184,10 @@ TEST(TxTracker, SlowestRingBoundedAndSorted)
     stats::StatRegistry reg;
     obs::TxTracker trk(reg, 1, 2);
     for (TxId tx = 1; tx <= 5; ++tx) {
-        trk.txBegin(0, tx, tx * 1000);
-        trk.commitSlot(0, tx, obs::TxSlot::Base, tx * 10);
-        trk.txCommit(0, tx, tx * 1000 + tx * 10);
+        trk.on({.kind = EventKind::TxBegin, .tx = tx, .at = tx * 1000});
+        trk.on({.kind = EventKind::CommitSlot, .tx = tx, .count = tx * 10});
+        trk.on({.kind = EventKind::TxCommit, .tx = tx,
+                .at = tx * 1000 + tx * 10});
     }
     const obs::TxStatsSummary s = trk.summary();
     EXPECT_EQ(s.committedTxs, 5u);
@@ -267,13 +278,13 @@ TEST(TxStats, EndToEndCpiCrossCheck)
         // The recorder's per-bucket commit-slot totals must equal the
         // CPI stack accounted independently by the cores, bucket for
         // bucket — cycles can neither vanish nor double-count.
-        const std::uint64_t cpi[obs::numTxSlots] = {
+        const std::uint64_t cpi[numTxSlots] = {
             r.cpi.base,          r.cpi.robFull,
             r.cpi.iqLsqFull,     r.cpi.branchRedirect,
             r.cpi.persistStall,  r.cpi.wpqBackpressure,
             r.cpi.lockWait};
         double in_tx_sum = 0;
-        for (unsigned b = 0; b < obs::numTxSlots; ++b) {
+        for (unsigned b = 0; b < numTxSlots; ++b) {
             EXPECT_EQ(s.slotTotal[b], cpi[b])
                 << toString(scheme) << " bucket " << b;
             EXPECT_LE(s.slotInTx[b], s.slotTotal[b]);

@@ -54,27 +54,8 @@ usage()
         << "  --jobs N           host worker threads (0 = all cores)\n"
         << "  --no-cycle-skip    tick every cycle (verdicts are "
         << "bit-identical)\n";
-    RunSpec::printFlags(std::cout, specflag::Bench, RunSpec{});
+    RunSpec::printFlags(std::cout, checkSpecFlags, RunSpec{});
     return 2;
-}
-
-/** The --scheme list (empty = all), which BenchOptions does not
- *  parse: it takes `all` as well as one scheme. */
-std::vector<LogScheme>
-extractSchemes(std::vector<char *> &args)
-{
-    std::vector<LogScheme> schemes;
-    for (std::size_t i = 1; i < args.size();) {
-        if (std::string(args[i]) == "--scheme" && i + 1 < args.size()) {
-            if (std::string(args[i + 1]) != "all")
-                schemes.push_back(parseScheme(args[i + 1]));
-            args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                       args.begin() + static_cast<std::ptrdiff_t>(i + 2));
-        } else {
-            ++i;
-        }
-    }
-    return schemes;
 }
 
 int
@@ -176,23 +157,18 @@ main(int argc, char **argv)
     }
 
     try {
-        std::vector<char *> args;
-        args.push_back(argv[0]);
-        for (int i = takes_operand ? 3 : 2; i < argc; ++i)
-            args.push_back(argv[i]);
-        const std::vector<LogScheme> schemes = extractSchemes(args);
-        const BenchOptions opts = BenchOptions::parse(
-            static_cast<int>(args.size()), args.data());
+        const CheckArgs parsed = parseCheckArgs(std::vector<std::string>(
+            argv + (takes_operand ? 3 : 2), argv + argc));
         if (command == "rules")
-            return cmdRules(schemes);
+            return cmdRules(parsed.schemes);
         if (command == "replay")
-            return cmdReplay(argv[2], opts);
+            return cmdReplay(argv[2], parsed.opts);
         const std::string operand = argv[2];
         const std::vector<WorkloadKind> kinds =
             operand == "all" ? allPaperWorkloads()
                              : std::vector<WorkloadKind>{
                                    parseWorkload(operand)};
-        return cmdRun(kinds, schemes, opts);
+        return cmdRun(kinds, parsed.schemes, parsed.opts);
     } catch (const FatalError &e) {
         std::cerr << e.what() << "\n";
         return 1;

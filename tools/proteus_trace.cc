@@ -85,7 +85,7 @@ cmdRecord(int argc, char **argv)
 
     const TraceBundleKey key = spec.key();
     std::cout << "recording " << key.describe() << "...\n";
-    const auto bundle = TraceBundle::build(key, nullptr, with_history);
+    const auto bundle = TraceBundle::build(key, with_history);
     saveTraceBundle(*bundle, out);
 
     const PtraceFileInfo info = inspectTraceFile(out);

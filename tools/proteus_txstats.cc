@@ -75,18 +75,18 @@ struct Row
     std::string workload;
     std::uint64_t cycles = 0;
     std::uint64_t committedTxs = 0;
-    std::array<std::uint64_t, obs::numTxSlots> cpi{};
-    std::array<std::uint64_t, obs::numTxSlots> slotTotal{};
-    std::array<std::uint64_t, obs::numTxSlots> critPath{};
+    std::array<std::uint64_t, numTxSlots> cpi{};
+    std::array<std::uint64_t, numTxSlots> slotTotal{};
+    std::array<std::uint64_t, numTxSlots> critPath{};
     std::array<StageData, obs::numTxStages> stages;
 };
 
-std::array<std::uint64_t, obs::numTxSlots>
+std::array<std::uint64_t, numTxSlots>
 readSlots(const obs::JsonValue &v)
 {
-    std::array<std::uint64_t, obs::numTxSlots> out{};
-    for (unsigned s = 0; s < obs::numTxSlots; ++s)
-        out[s] = v.at(obs::toString(static_cast<obs::TxSlot>(s))).asU64();
+    std::array<std::uint64_t, numTxSlots> out{};
+    for (unsigned s = 0; s < numTxSlots; ++s)
+        out[s] = v.at(obs::toString(static_cast<TxSlot>(s))).asU64();
     return out;
 }
 
@@ -219,10 +219,10 @@ cmdReport(const std::string &path, bool per_workload)
     for (const std::string &scheme : schemes) {
         const std::vector<const Row *> &group = byScheme[scheme];
         std::uint64_t txs = 0;
-        std::array<std::uint64_t, obs::numTxSlots> crit{};
+        std::array<std::uint64_t, numTxSlots> crit{};
         for (const Row *row : group) {
             txs += row->committedTxs;
-            for (unsigned s = 0; s < obs::numTxSlots; ++s)
+            for (unsigned s = 0; s < numTxSlots; ++s)
                 crit[s] += row->critPath[s];
         }
 
@@ -238,11 +238,11 @@ cmdReport(const std::string &path, bool per_workload)
             crit_total += c;
         std::cout << "  critical path:";
         bool first = true;
-        for (unsigned s = 0; s < obs::numTxSlots; ++s) {
+        for (unsigned s = 0; s < numTxSlots; ++s) {
             if (crit[s] == 0)
                 continue;
             std::cout << (first ? " " : ", ")
-                      << obs::toString(static_cast<obs::TxSlot>(s))
+                      << obs::toString(static_cast<TxSlot>(s))
                       << " " << crit[s];
             if (crit_total) {
                 std::cout << " ("
@@ -260,13 +260,13 @@ cmdReport(const std::string &path, bool per_workload)
         // CPI stack the core accounted independently.
         unsigned bad = 0;
         for (const Row *row : group) {
-            for (unsigned s = 0; s < obs::numTxSlots; ++s) {
+            for (unsigned s = 0; s < numTxSlots; ++s) {
                 if (row->slotTotal[s] != row->cpi[s]) {
                     ++bad;
                     std::cout << "  CPI MISMATCH " << row->workload
                               << " "
                               << obs::toString(
-                                     static_cast<obs::TxSlot>(s))
+                                     static_cast<TxSlot>(s))
                               << ": slotTotal " << row->slotTotal[s]
                               << " != cpi " << row->cpi[s] << "\n";
                 }
@@ -274,7 +274,7 @@ cmdReport(const std::string &path, bool per_workload)
         }
         std::cout << "  CPI cross-check: "
                   << (bad == 0 ? "PASS" : "FAIL") << " ("
-                  << group.size() << " rows x " << obs::numTxSlots
+                  << group.size() << " rows x " << numTxSlots
                   << " buckets)\n";
         cpi_ok = cpi_ok && bad == 0;
 
