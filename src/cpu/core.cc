@@ -9,22 +9,23 @@
 
 namespace proteus {
 
+namespace {
+
+/** The Perfetto phase-span name of a CPI-stack bucket. */
 const char *
-toString(CommitBucket bucket)
+phaseName(TxSlot bucket)
 {
     switch (bucket) {
-      case CommitBucket::Base:            return "base";
-      case CommitBucket::RobFull:         return "rob-full";
-      case CommitBucket::IqLsqFull:       return "iq-lsq-full";
-      case CommitBucket::BranchRedirect:  return "branch-redirect";
-      case CommitBucket::PersistStall:    return "persist-stall";
-      case CommitBucket::WpqBackpressure: return "wpq-backpressure";
-      case CommitBucket::LockWait:        return "lock-wait";
+      case TxSlot::Base:            return "base";
+      case TxSlot::RobFull:         return "rob-full";
+      case TxSlot::IqLsqFull:       return "iq-lsq-full";
+      case TxSlot::BranchRedirect:  return "branch-redirect";
+      case TxSlot::PersistStall:    return "persist-stall";
+      case TxSlot::WpqBackpressure: return "wpq-backpressure";
+      case TxSlot::LockWait:        return "lock-wait";
     }
     return "unknown";
 }
-
-namespace {
 
 /** One-way latency from the core to the memory controller used by the
  *  ATOM posted/source log path. */
@@ -214,7 +215,7 @@ Core::accountSkipped(Tick from, Tick to)
     if (_events && to > from) {
         _events->post({.kind = EventKind::CommitSlot, .core = _id,
                        .tx = _retireTxId, .count = to - from,
-                       .slot = static_cast<TxSlot>(_lastSlotBucket)});
+                       .slot = _lastSlotBucket});
     }
 }
 
@@ -236,7 +237,7 @@ Core::cpiStack() const
 }
 
 void
-Core::tracePhase(CommitBucket bucket, Tick now)
+Core::tracePhase(TxSlot bucket, Tick now)
 {
     // Coalesce consecutive same-bucket cycles into one span so the
     // Perfetto track reads as phases rather than per-cycle confetti.
@@ -244,7 +245,7 @@ Core::tracePhase(CommitBucket bucket, Tick now)
         return;
     if (_phaseOpen && _trkPipeline) {
         _traceSink->complete(TraceCatCpu, _trkPipeline,
-                             toString(_phaseBucket), _phaseStart, now);
+                             phaseName(_phaseBucket), _phaseStart, now);
     }
     _phaseBucket = bucket;
     _phaseStart = now;
@@ -258,7 +259,7 @@ Core::finalizeTrace()
         return;
     if (_phaseOpen && _trkPipeline) {
         _traceSink->complete(TraceCatCpu, _trkPipeline,
-                             toString(_phaseBucket), _phaseStart,
+                             phaseName(_phaseBucket), _phaseStart,
                              _sim.now());
         _phaseOpen = false;
     }
@@ -276,35 +277,35 @@ Core::traceLogQOccupancy()
 void
 Core::accountCommitSlot(bool retired, Tick now)
 {
-    CommitBucket bucket = CommitBucket::Base;
+    TxSlot bucket = TxSlot::Base;
     if (retired) {
-        bucket = CommitBucket::Base;
+        bucket = TxSlot::Base;
     } else if (_rob.empty()) {
         // Front-end-bound (or drained). A pending branch redirect is
         // the one cause we can name; plain fill latency stays in base.
         if (_fetchBlocked || now < _fetchResumeAt)
-            bucket = CommitBucket::BranchRedirect;
+            bucket = TxSlot::BranchRedirect;
     } else {
         switch (_headBlock) {
           case RetireBlock::Exec:
             // Latency-bound window: blame the back-end resource that
             // starved dispatch this cycle, if any.
             if (_dispatchBlock == DispatchBlock::Rob)
-                bucket = CommitBucket::RobFull;
+                bucket = TxSlot::RobFull;
             else if (_dispatchBlock == DispatchBlock::IqLsqRegs)
-                bucket = CommitBucket::IqLsqFull;
+                bucket = TxSlot::IqLsqFull;
             else if (_dispatchBlock == DispatchBlock::LogHw)
-                bucket = CommitBucket::PersistStall;
+                bucket = TxSlot::PersistStall;
             break;
           case RetireBlock::StoreBuffer:
-            bucket = _sbBlockedOnLog ? CommitBucket::PersistStall
-                                     : CommitBucket::WpqBackpressure;
+            bucket = _sbBlockedOnLog ? TxSlot::PersistStall
+                                     : TxSlot::WpqBackpressure;
             break;
           case RetireBlock::Persist:
-            bucket = CommitBucket::PersistStall;
+            bucket = TxSlot::PersistStall;
             break;
           case RetireBlock::Lock:
-            bucket = CommitBucket::LockWait;
+            bucket = TxSlot::LockWait;
             break;
           case RetireBlock::None:
             break;      // retire width exhausted mid-burst: base
@@ -312,25 +313,23 @@ Core::accountCommitSlot(bool retired, Tick now)
     }
 
     switch (bucket) {
-      case CommitBucket::Base:            ++_cpiBase; break;
-      case CommitBucket::RobFull:         ++_cpiRobFull; break;
-      case CommitBucket::IqLsqFull:       ++_cpiIqLsqFull; break;
-      case CommitBucket::BranchRedirect:  ++_cpiBranchRedirect; break;
-      case CommitBucket::PersistStall:    ++_cpiPersistStall; break;
-      case CommitBucket::WpqBackpressure: ++_cpiWpqBackpressure; break;
-      case CommitBucket::LockWait:        ++_cpiLockWait; break;
+      case TxSlot::Base:            ++_cpiBase; break;
+      case TxSlot::RobFull:         ++_cpiRobFull; break;
+      case TxSlot::IqLsqFull:       ++_cpiIqLsqFull; break;
+      case TxSlot::BranchRedirect:  ++_cpiBranchRedirect; break;
+      case TxSlot::PersistStall:    ++_cpiPersistStall; break;
+      case TxSlot::WpqBackpressure: ++_cpiWpqBackpressure; break;
+      case TxSlot::LockWait:        ++_cpiLockWait; break;
     }
 
-    // TxSlot mirrors CommitBucket value-for-value (the event stream
-    // cannot depend on cpu), so the cast is the mapping. Accounting
-    // runs after retireStage: a tx-begin tick counts toward the new
-    // transaction and a commit tick does not, making the per-tx slots
-    // sum exactly to commitTick - beginTick.
+    // Accounting runs after retireStage: a tx-begin tick counts toward
+    // the new transaction and a commit tick does not, making the per-tx
+    // slots sum exactly to commitTick - beginTick.
     _lastSlotBucket = bucket;
     if (_events) {
         _events->post({.kind = EventKind::CommitSlot, .core = _id,
                        .tx = _retireTxId, .count = 1,
-                       .slot = static_cast<TxSlot>(bucket)});
+                       .slot = bucket});
     }
 
     if (_traceSink)

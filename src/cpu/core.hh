@@ -93,21 +93,6 @@ struct CpiStack
     }
 };
 
-/** The CPI-stack bucket a commit-slot cycle is attributed to. */
-enum class CommitBucket : unsigned char
-{
-    Base,
-    RobFull,
-    IqLsqFull,
-    BranchRedirect,
-    PersistStall,
-    WpqBackpressure,
-    LockWait,
-};
-
-/** @return a short printable bucket name, e.g. "persist-stall". */
-const char *toString(CommitBucket bucket);
-
 /** One hardware thread executing a pre-decoded trace. */
 class Core : public Ticked
 {
@@ -246,7 +231,7 @@ class Core : public Ticked
     void releaseStoreBuffer(Tick now);
     void releaseAutoFlushes();
     void accountCommitSlot(bool retired, Tick now);
-    void tracePhase(CommitBucket bucket, Tick now);
+    void tracePhase(TxSlot bucket, Tick now);
     void traceLogQOccupancy();
 
     bool dispatchOne(const MicroOp &mop);
@@ -342,7 +327,7 @@ class Core : public Ticked
     std::uint32_t _trkPipeline = 0;
     std::uint32_t _trkTx = 0;
     std::uint32_t _trkLogQ = 0;
-    CommitBucket _phaseBucket = CommitBucket::Base;
+    TxSlot _phaseBucket = TxSlot::Base;
     bool _phaseOpen = false;
     Tick _phaseStart = 0;
     Tick _txStartTick = 0;
@@ -350,7 +335,7 @@ class Core : public Ticked
     /** Bucket the last accounted tick landed in, replayed (with the
      *  live _retireTxId) for skipped quiescent spans so per-tx slot
      *  attribution is bit-identical with cycle skipping on or off. */
-    CommitBucket _lastSlotBucket = CommitBucket::Base;
+    TxSlot _lastSlotBucket = TxSlot::Base;
     /// @}
 
     stats::Scalar _retired;

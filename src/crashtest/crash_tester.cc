@@ -196,7 +196,8 @@ namespace {
 /** Check one crash point of @p sys (non-destructive). */
 CrashPointResult
 checkCrashPoint(const CrashTestOptions &opts, FullSystem &sys,
-                const CommitOracle &oracle, const TraceBundleKey &key)
+                const CommitOracle &oracle,
+                const WorkloadSnapshot &snapshot)
 {
     const LogScheme scheme = sys.config().logging.scheme;
     CrashPointResult row;
@@ -238,14 +239,11 @@ checkCrashPoint(const CrashTestOptions &opts, FullSystem &sys,
     // multi-threaded prefix is not replayable without the schedule).
     if (opts.threads == 1 && scheme != LogScheme::PMEMNoLog &&
         opts.checkSerialization) {
-        PersistentHeap replay_heap;
-        auto replay = makeWorkload(key.kind, replay_heap, key.scheme,
-                                   key.params, key.extras());
-        replay->setup();
-        replay->replayOps(row.replayed);
+        const WorkloadSnapshot::Fork replay = snapshot.fork(scheme);
+        replay.workload->replayOps(row.replayed);
         const std::string recovered = sys.workload().serialize(image);
         const std::string replayed =
-            replay->serialize(replay_heap.volatileImage());
+            replay.workload->serialize(replay.heap->volatileImage());
         row.serializeOk = recovered == replayed;
         if (!row.serializeOk)
             row.serializeError =
@@ -355,11 +353,20 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     // One functional execution serves both the reference run and the
     // crash-injected run (shared through the cache when it is on); the
     // oracle is rebuilt from the bundle's recorded write history, which
-    // is equivalent to live attachment during trace generation.
-    const std::shared_ptr<const TraceBundle> bundle =
-        opts.useTraceCache
-            ? TraceCache::global().get(key, /*want_history=*/true)
-            : TraceBundle::build(key, /*want_history=*/true);
+    // is equivalent to live attachment during trace generation. Every
+    // crash point's committed-prefix replay forks the same post-setup
+    // snapshot the bundle was built from.
+    std::shared_ptr<const WorkloadSnapshot> snapshot;
+    std::shared_ptr<const TraceBundle> bundle;
+    if (opts.useTraceCache) {
+        bundle = TraceCache::global().get(key, /*want_history=*/true);
+        snapshot = TraceCache::global().snapshot(key);
+    } else {
+        snapshot =
+            WorkloadSnapshot::build(key.kind, key.params, key.extras());
+        bundle = TraceBundle::build(key, /*want_history=*/true,
+                                    snapshot.get());
+    }
     CommitOracle oracle;
     bundle->history->replayTo(oracle);
 
@@ -396,7 +403,8 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
         const Tick now = sys.sim().now();
         if (at > now)
             sys.runFor(at - now);
-        CrashPointResult row = checkCrashPoint(opts, sys, oracle, key);
+        CrashPointResult row =
+            checkCrashPoint(opts, sys, oracle, *snapshot);
         if (!row.ok) {
             ++pair.violations;
             if (pair.failureReports.size() < 5)

@@ -138,7 +138,7 @@ makeTxStatsRow(const RunSpec &spec, const RunResult &result)
     row.initScale = spec.initScale;
     row.seed = spec.seed;
     row.cycles = result.cycles;
-    // Bucket order mirrors TxSlot (and CommitBucket).
+    // Bucket order mirrors TxSlot.
     row.cpi = {result.cpi.base,          result.cpi.robFull,
                result.cpi.iqLsqFull,     result.cpi.branchRedirect,
                result.cpi.persistStall,  result.cpi.wpqBackpressure,

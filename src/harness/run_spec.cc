@@ -153,6 +153,17 @@ const Flag flags[] = {
      }},
 };
 
+/** The flag named @p name among @p groups, or null. */
+const Flag *
+findFlag(const std::string &name, unsigned groups)
+{
+    for (const Flag &flag : flags) {
+        if ((flag.group & groups) && name == flag.name)
+            return &flag;
+    }
+    return nullptr;
+}
+
 void
 append(std::vector<std::string> &to, const std::vector<std::string> &from)
 {
@@ -289,16 +300,42 @@ RunSpec::parseFlag(const std::vector<std::string> &args, std::size_t &i,
                    unsigned groups)
 {
     const std::string &name = args[i];
-    for (const Flag &flag : flags) {
-        if (!(flag.group & groups) || name != flag.name)
+    const Flag *flag = findFlag(name, groups);
+    if (!flag)
+        return false;
+    if (*flag->metavar && i + 1 >= args.size())
+        fatal("missing value after ", name);
+    const std::string &text = *flag->metavar ? args[++i] : name;
+    flag->apply(*this, Arg{name, text});
+    return true;
+}
+
+void
+rejectBundleConflicts(const std::vector<std::string> &args,
+                      const TraceBundleKey &key, const std::string &path)
+{
+    constexpr unsigned identity = specflag::Scheme | specflag::Sizing |
+                                  specflag::WlSpec | specflag::List;
+    const RunSpec recorded = RunSpec().forBundle(key);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const Flag *flag = findFlag(args[i], identity);
+        if (!flag)
             continue;
-        if (*flag.metavar && i + 1 >= args.size())
-            fatal("missing value after ", name);
-        const std::string &text = *flag.metavar ? args[++i] : name;
-        flag.apply(*this, Arg{name, text});
-        return true;
+        // Apply the flag on top of the file's spec: a value equal to
+        // the recorded one leaves it unchanged.
+        RunSpec probe = recorded;
+        const std::size_t at = i;
+        probe.parseFlag(args, i, identity);
+        if (probe == recorded)
+            continue;
+        const bool wl_spec = flag->group == specflag::WlSpec;
+        fatal(args[at], " ", args[i], " conflicts with ", path,
+              ", which records ", wl_spec ? "--wl-spec" : flag->name,
+              " ", wl_spec ? recorded.gen.canonical()
+                           : flag->shown(recorded),
+              " (a replay takes the workload, scheme and sizing from "
+              "the file)");
     }
-    return false;
 }
 
 void

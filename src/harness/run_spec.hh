@@ -102,6 +102,17 @@ struct RunSpec
     bool operator==(const RunSpec &) const = default;
 };
 
+/**
+ * Fatal if @p args set --scheme, a sizing flag, --wl-spec[-file] or
+ * --elements-per-node to a value other than the one the .ptrace file
+ * @p path records in @p key: a replay takes those from the file, so
+ * the flag would be ignored. Equal values pass. The error names the
+ * flag and the file's value.
+ */
+void rejectBundleConflicts(const std::vector<std::string> &args,
+                           const TraceBundleKey &key,
+                           const std::string &path);
+
 /** @p args joined by single spaces (repro lines). */
 std::string joinArgs(const std::vector<std::string> &args);
 

@@ -64,18 +64,31 @@ TraceBundleKey::describe() const
     return os.str();
 }
 
-std::shared_ptr<TraceBundle>
-TraceBundle::build(const TraceBundleKey &key, bool want_history)
+TraceBundleKey
+TraceBundleKey::snapshotKey() const
 {
+    TraceBundleKey k = *this;
+    k.scheme = LogScheme::Proteus;
+    return k;
+}
+
+std::shared_ptr<TraceBundle>
+TraceBundle::build(const TraceBundleKey &key, bool want_history,
+                   const WorkloadSnapshot *snapshot)
+{
+    std::shared_ptr<const WorkloadSnapshot> own;
+    if (!snapshot) {
+        own = WorkloadSnapshot::build(key.kind, key.params, key.extras());
+        snapshot = own.get();
+    }
     auto bundle = std::make_shared<TraceBundle>();
     bundle->key = key;
-    bundle->heap = std::make_shared<PersistentHeap>();
-    bundle->workload = makeWorkload(key.kind, *bundle->heap, key.scheme,
-                                    key.params, key.extras());
+    WorkloadSnapshot::Fork fork = snapshot->fork(key.scheme);
+    bundle->heap = std::move(fork.heap);
+    bundle->workload = std::move(fork.workload);
 
-    // Functional phase, exactly as FullSystem's constructor used to run
-    // it: populate (InitOps), fast-forward the NVM image, record.
-    bundle->workload->setup();
+    // Functional phase from the populated (InitOps) snapshot:
+    // fast-forward the NVM image, then record.
     bundle->heap->syncNvmToVolatile();
 
     auto history =

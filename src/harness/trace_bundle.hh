@@ -12,10 +12,14 @@
  * can then be wired from the same bundle, concurrently, each with its
  * own private copy of the mutable heap images.
  *
+ * Every built bundle forks a WorkloadSnapshot — the post-setup() state,
+ * which is the same for every scheme — and records only the SimOps.
+ *
  * Bundles come from three places:
  *  - FullSystem's classic constructor builds a private one (the
  *    uncached path — behavior and results are bit-identical to before),
  *  - TraceCache::get() builds one per key and shares it process-wide,
+ *    forking the cache's one snapshot per scheme-free key,
  *  - loadTraceBundle() deserializes one from a .ptrace file recorded
  *    by tools/proteus-trace (such bundles carry no Workload object, so
  *    they can run and be measured but not invariant-checked).
@@ -34,7 +38,7 @@
 #include "isa/trace.hh"
 #include "sim/config.hh"
 #include "trace/write_history.hh"
-#include "workloads/workload.hh"
+#include "workloads/snapshot.hh"
 
 namespace proteus {
 
@@ -48,6 +52,13 @@ struct TraceBundleKey
     wlgen::GenSpec gen;
 
     WorkloadExtras extras() const { return {llOpts, gen}; }
+
+    /**
+     * The identity of the post-setup() state this bundle forks (see
+     * WorkloadSnapshot): this key with the scheme fixed, because
+     * setup() never reads it.
+     */
+    TraceBundleKey snapshotKey() const;
 
     bool operator==(const TraceBundleKey &o) const;
     std::size_t hash() const;
@@ -105,11 +116,14 @@ class TraceBundle
     std::map<Addr, std::uint64_t> lockMap;
 
     /**
-     * Execute the workload functionally and capture the bundle;
-     * @p want_history also records the replayable WriteHistory.
+     * Fork @p snapshot (the post-setup state of key.snapshotKey()) under
+     * key.scheme and record the SimOps; @p want_history also records
+     * the replayable WriteHistory. Without a snapshot, build a private
+     * one first.
      */
     static std::shared_ptr<TraceBundle>
-    build(const TraceBundleKey &key, bool want_history = false);
+    build(const TraceBundleKey &key, bool want_history = false,
+          const WorkloadSnapshot *snapshot = nullptr);
 
     /** Recompute lockMap from the traces (build and load both use it). */
     void computeLockMap();

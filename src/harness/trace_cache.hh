@@ -9,9 +9,16 @@
  * threads, where the first requester builds while the others block on a
  * shared future — and hands out shared immutable references.
  *
+ * Bundles of one workload under different schemes share their InitOps
+ * population: the cache also holds one WorkloadSnapshot per scheme-free
+ * key (TraceBundleKey::snapshotKey), built once the same way, and every
+ * bundle build forks it. setup() therefore runs once per snapshot key
+ * per cache lifetime.
+ *
  * Cached and uncached runs are bit-identical: both paths execute the
- * same TraceBundle::build and the same FullSystem wiring; the only
- * difference is how many times the functional workload executes.
+ * same TraceBundle::build over a fork of the same post-setup state and
+ * the same FullSystem wiring; the only difference is how many times
+ * the functional workload executes.
  */
 
 #ifndef PROTEUS_HARNESS_TRACE_CACHE_HH
@@ -40,13 +47,20 @@ class TraceCache
     std::shared_ptr<const TraceBundle> get(const TraceBundleKey &key,
                                            bool want_history = false);
 
-    /** Drop every cached bundle (tests, memory pressure). */
+    /** The post-setup() snapshot of key.snapshotKey(), building it on
+     *  first request (any scheme's key names the same one).
+     *  Thread-safe. */
+    std::shared_ptr<const WorkloadSnapshot>
+    snapshot(const TraceBundleKey &key);
+
+    /** Drop every cached bundle and snapshot (tests, memory pressure). */
     void clear();
 
     /// @name Statistics
     /// @{
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
+    /** Bundles resident (snapshots are not counted). */
     std::size_t size() const;
     /// @}
 
@@ -62,10 +76,23 @@ class TraceCache
         }
     };
 
-    using Future = std::shared_future<std::shared_ptr<const TraceBundle>>;
+    template <typename T>
+    using Entries = std::unordered_map<
+        TraceBundleKey, std::shared_future<std::shared_ptr<const T>>,
+        KeyHash>;
+
+    /** The entry for @p key in @p entries, running @p build outside the
+     *  lock if this caller is the first to ask; @p built reports that,
+     *  and @p misses (if set) counts it. */
+    template <typename T, typename Build>
+    std::shared_ptr<const T> once(Entries<T> &entries,
+                                  const TraceBundleKey &key,
+                                  const Build &build, bool &built,
+                                  std::uint64_t *misses);
 
     mutable std::mutex _mutex;
-    std::unordered_map<TraceBundleKey, Future, KeyHash> _entries;
+    Entries<TraceBundle> _entries;
+    Entries<WorkloadSnapshot> _snapshots;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
 };

@@ -1,36 +1,25 @@
 #include "memory_image.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 
 namespace proteus {
-
-MemoryImage::MemoryImage(const MemoryImage &other)
-{
-    *this = other;
-}
-
-MemoryImage &
-MemoryImage::operator=(const MemoryImage &other)
-{
-    if (this == &other)
-        return *this;
-    _pages.clear();
-    _pages.reserve(other._pages.size());
-    for (const auto &[index, page] : other._pages)
-        _pages.emplace(index, std::make_unique<Page>(*page));
-    _poison = other._poison;
-    return *this;
-}
 
 MemoryImage::Page &
 MemoryImage::touch(Addr page_index)
 {
     auto it = _pages.find(page_index);
     if (it == _pages.end()) {
-        auto page = std::make_unique<Page>();
-        page->fill(0);
-        it = _pages.emplace(page_index, std::move(page)).first;
+        it = _pages.emplace(page_index, std::make_shared<Page>()).first;
+    } else if (it->second.use_count() > 1) {
+        // Another image still holds this page: write a private clone.
+        it->second = std::make_shared<Page>(*it->second);
+    } else {
+        // Sole holder. Order this write after every access the other
+        // holders made before they released the page (use_count reads
+        // the count relaxed; the release decrement pairs with this).
+        std::atomic_thread_fence(std::memory_order_acquire);
     }
     return *it->second;
 }

@@ -5,6 +5,14 @@
  * program sees through the cache hierarchy) and the NVM image (what has
  * actually persisted). Pages materialize on first touch and read as
  * zero before that.
+ *
+ * Pages are shared copy-on-write: copying an image copies page
+ * pointers, and the first write to a page that another image still
+ * holds clones it. Copies of a large image (a post-setup snapshot, a
+ * bundle's heap, a crash image) therefore cost one pointer per page and
+ * share every page neither side writes. A page is only ever written
+ * through an image that holds it alone, so images sharing pages may be
+ * read and copied from any number of threads.
  */
 
 #ifndef PROTEUS_HEAP_MEMORY_IMAGE_HH
@@ -31,8 +39,8 @@ class MemoryImage
     static constexpr std::size_t pageBytes = std::size_t{1} << pageBits;
 
     MemoryImage() = default;
-    MemoryImage(const MemoryImage &other);
-    MemoryImage &operator=(const MemoryImage &other);
+    MemoryImage(const MemoryImage &) = default;
+    MemoryImage &operator=(const MemoryImage &) = default;
     MemoryImage(MemoryImage &&) = default;
     MemoryImage &operator=(MemoryImage &&) = default;
 
@@ -126,10 +134,12 @@ class MemoryImage
         return static_cast<std::size_t>(a & (pageBytes - 1));
     }
 
+    /** The page at @p page_index, materialized and unshared, for a
+     *  write. */
     Page &touch(Addr page_index);
     const Page *peek(Addr page_index) const;
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> _pages;
+    std::unordered_map<Addr, std::shared_ptr<Page>> _pages;
     /** Lines flagged detected-uncorrectable by the media fault model;
      *  empty (and cost-free) unless fault injection is active. */
     std::unordered_set<Addr> _poison;

@@ -51,6 +51,8 @@ class RegionAllocator
         /** (size, addresses) free bins, sorted by size for stable
          *  serialization. */
         std::vector<std::pair<std::size_t, std::vector<Addr>>> freeBins;
+
+        bool operator==(const State &) const = default;
     };
 
     State state() const;
@@ -157,6 +159,8 @@ class PersistentHeap
         RegionAllocator::State persistentAlloc;
         Addr nextLogArea = logBase;
         Addr chaseArena = invalidAddr;
+
+        bool operator==(const AllocState &) const = default;
     };
 
     AllocState allocState() const;

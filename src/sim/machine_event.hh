@@ -44,9 +44,9 @@
 namespace proteus {
 
 /**
- * The commit-slot bucket a cycle was attributed to. Mirrors the core's
- * CPI stack (src/cpu/core.hh) value-for-value; the core maps its
- * CommitBucket into it by cast.
+ * The CPI-stack bucket a commit-slot cycle is attributed to: the core
+ * (src/cpu/core.hh) charges each cycle to one and posts it on the
+ * stream as a CommitSlot event.
  */
 enum class TxSlot : std::uint8_t
 {

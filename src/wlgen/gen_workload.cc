@@ -122,18 +122,18 @@ GenWorkload::allocateStructures()
     const std::uint64_t table_bytes =
         _groups * slotsPerGroup * std::uint64_t(_slotBytes);
     for (unsigned t = 0; t < _spec.tables; ++t) {
-        const Addr base = _heap.alloc(table_bytes, blockSize);
+        const Addr base = _heap->alloc(table_bytes, blockSize);
         // Only the state words need defined initial contents: probe
         // and serialize read key/gen/value exclusively behind an
         // occupied state.
         for (std::uint64_t s = 0; s < _groups * slotsPerGroup; ++s)
-            _heap.write<std::uint64_t>(base + s * _slotBytes + 8,
+            _heap->write<std::uint64_t>(base + s * _slotBytes + 8,
                                        stEmpty);
         _tables.push_back(base);
 
         std::vector<Addr> locks;
         for (std::uint64_t l = 0; l < _stripes; ++l)
-            locks.push_back(_heap.allocVolatile(blockSize, blockSize));
+            locks.push_back(_heap->allocVolatile(blockSize, blockSize));
         _locks.push_back(std::move(locks));
     }
 }

@@ -57,6 +57,10 @@ class GenWorkload : public Workload
     std::uint64_t popKeys() const;
 
   protected:
+    std::unique_ptr<Workload> clone() const override
+    {
+        return std::make_unique<GenWorkload>(*this);
+    }
     void allocateStructures() override;
     void doInitOp(unsigned thread) override;
     void doOp(unsigned thread) override;
@@ -88,7 +92,9 @@ class GenWorkload : public Workload
     void dispatch(unsigned thread, Op op, std::uint64_t key);
 
     GenSpec _spec;
-    std::unique_ptr<KeyGenerator> _dist;
+    /** Stateless after construction (nextRank is const), so forks
+     *  share it. */
+    std::shared_ptr<const KeyGenerator> _dist;
     std::uint64_t _groups = 0;      ///< bucket groups per table
     std::uint64_t _stripes = 0;     ///< lock stripes per table
     unsigned _slotBytes = 0;

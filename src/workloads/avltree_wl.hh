@@ -37,6 +37,10 @@ class AvlTreeWorkload : public Workload
     static constexpr unsigned nodeBytes = 64;
 
   protected:
+    std::unique_ptr<Workload> clone() const override
+    {
+        return std::make_unique<AvlTreeWorkload>(*this);
+    }
     void allocateStructures() override;
     void doInitOp(unsigned thread) override;
     void doOp(unsigned thread) override;

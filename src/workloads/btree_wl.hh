@@ -38,6 +38,10 @@ class BTreeWorkload : public Workload
     static constexpr unsigned maxKeys = 3;
 
   protected:
+    std::unique_ptr<Workload> clone() const override
+    {
+        return std::make_unique<BTreeWorkload>(*this);
+    }
     void allocateStructures() override;
     void doInitOp(unsigned thread) override;
     void doOp(unsigned thread) override;

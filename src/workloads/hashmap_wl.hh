@@ -34,6 +34,10 @@ class HashMapWorkload : public Workload
     static constexpr unsigned nodeBytes = 64;
 
   protected:
+    std::unique_ptr<Workload> clone() const override
+    {
+        return std::make_unique<HashMapWorkload>(*this);
+    }
     void allocateStructures() override;
     void doInitOp(unsigned thread) override;
     void doOp(unsigned thread) override;

@@ -35,6 +35,10 @@ class LinkedListWorkload : public Workload
     unsigned elementsPerNode() const { return _elements; }
 
   protected:
+    std::unique_ptr<Workload> clone() const override
+    {
+        return std::make_unique<LinkedListWorkload>(*this);
+    }
     void allocateStructures() override;
     void doOp(unsigned thread) override;
 

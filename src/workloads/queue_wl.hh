@@ -33,6 +33,10 @@ class QueueWorkload : public Workload
     static constexpr unsigned nodeBytes = 64;
 
   protected:
+    std::unique_ptr<Workload> clone() const override
+    {
+        return std::make_unique<QueueWorkload>(*this);
+    }
     void allocateStructures() override;
     void doInitOp(unsigned thread) override;
     void doOp(unsigned thread) override;

@@ -31,10 +31,10 @@ void
 RbTreeWorkload::allocateStructures()
 {
     for (unsigned t = 0; t < numTrees; ++t) {
-        const Addr root = _heap.alloc(blockSize, blockSize);
-        _heap.write<std::uint64_t>(root, 0);
+        const Addr root = _heap->alloc(blockSize, blockSize);
+        _heap->write<std::uint64_t>(root, 0);
         _roots.push_back(root);
-        _locks.push_back(_heap.allocVolatile(blockSize, blockSize));
+        _locks.push_back(_heap->allocVolatile(blockSize, blockSize));
     }
 }
 

@@ -36,6 +36,10 @@ class RbTreeWorkload : public Workload
     static constexpr unsigned nodeBytes = 64;
 
   protected:
+    std::unique_ptr<Workload> clone() const override
+    {
+        return std::make_unique<RbTreeWorkload>(*this);
+    }
     void allocateStructures() override;
     void doInitOp(unsigned thread) override;
     void doOp(unsigned thread) override;

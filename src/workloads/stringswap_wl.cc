@@ -20,18 +20,18 @@ StringSwapWorkload::StringSwapWorkload(PersistentHeap &heap,
 void
 StringSwapWorkload::allocateStructures()
 {
-    _array = _heap.alloc(_items * stringBytes, blockSize);
+    _array = _heap->alloc(_items * stringBytes, blockSize);
     // Distinct initial contents so swaps are observable.
     for (std::uint64_t i = 0; i < _items; ++i) {
         for (unsigned w = 0; w < stringBytes / 8; ++w) {
-            _heap.write<std::uint64_t>(_array + i * stringBytes + w * 8,
+            _heap->write<std::uint64_t>(_array + i * stringBytes + w * 8,
                                        i * 1000 + w);
         }
     }
     const std::uint64_t locks =
         (_items + stringsPerLock - 1) / stringsPerLock;
     for (std::uint64_t l = 0; l < locks; ++l)
-        _locks.push_back(_heap.allocVolatile(blockSize, blockSize));
+        _locks.push_back(_heap->allocVolatile(blockSize, blockSize));
 }
 
 void

@@ -35,6 +35,10 @@ class StringSwapWorkload : public Workload
     std::uint64_t items() const { return _items; }
 
   protected:
+    std::unique_ptr<Workload> clone() const override
+    {
+        return std::make_unique<StringSwapWorkload>(*this);
+    }
     void allocateStructures() override;
     void doInitOp(unsigned thread) override;
     void doOp(unsigned thread) override;

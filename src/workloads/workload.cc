@@ -1,10 +1,14 @@
 #include "workload.hh"
 
+#include <atomic>
+
 #include "sim/logging.hh"
 
 namespace proteus {
 
 namespace {
+
+std::atomic<std::uint64_t> setupCount{0};
 
 std::uint32_t
 siteBaseFor(const std::string &name)
@@ -20,19 +24,19 @@ siteBaseFor(const std::string &name)
 
 Workload::Workload(PersistentHeap &heap, LogScheme scheme,
                    const WorkloadParams &params)
-    : _heap(heap), _scheme(scheme), _params(params), _siteBase(0)
+    : _heap(&heap), _scheme(scheme), _params(params), _siteBase(0)
 {
     if (params.threads == 0 || params.threads > 32)
         fatal("Workload: thread count must be in [1, 32]");
     if (params.scale == 0 || params.initScale == 0)
         fatal("Workload: scale factors must be nonzero");
+    _builders.reserve(params.threads);
     for (unsigned t = 0; t < params.threads; ++t) {
-        _builders.push_back(std::make_unique<TraceBuilder>(
-            heap, scheme, static_cast<CoreId>(t)));
+        _builders.emplace_back(heap, scheme, static_cast<CoreId>(t));
         _rngs.emplace_back(params.seed * 0x9e3779b9ull + t * 7919ull +
                            1);
         const Addr area = heap.allocLogArea(params.logAreaBytes);
-        _builders.back()->setLogArea(area, area + params.logAreaBytes);
+        _builders.back().setLogArea(area, area + params.logAreaBytes);
     }
     _freeLists.resize(params.threads);
 }
@@ -42,6 +46,7 @@ Workload::setup()
 {
     if (_setupDone)
         panic("Workload::setup called twice");
+    ++setupCount;
     _siteBase = siteBaseFor(name());
     allocateStructures();
     const std::uint64_t init = initOps();
@@ -52,20 +57,37 @@ Workload::setup()
     _setupDone = true;
 }
 
+std::uint64_t
+Workload::setupCalls()
+{
+    return setupCount.load();
+}
+
+std::unique_ptr<Workload>
+Workload::fork(PersistentHeap &heap, LogScheme scheme) const
+{
+    std::unique_ptr<Workload> copy = clone();
+    copy->_heap = &heap;
+    copy->_scheme = scheme;
+    for (TraceBuilder &b : copy->_builders)
+        b.rebind(heap, scheme);
+    return copy;
+}
+
 void
 Workload::generateTraces()
 {
     if (!_setupDone)
         panic("Workload::generateTraces before setup");
-    for (auto &b : _builders)
-        b->setRecording(true);
+    for (TraceBuilder &b : _builders)
+        b.setRecording(true);
     const std::uint64_t ops = simOps();
     for (std::uint64_t i = 0; i < ops; ++i) {
         for (unsigned t = 0; t < _params.threads; ++t)
             doOp(t);
     }
-    for (auto &b : _builders)
-        b->setRecording(false);
+    for (TraceBuilder &b : _builders)
+        b.setRecording(false);
 }
 
 void
@@ -89,7 +111,7 @@ Workload::allocNode(unsigned thread, std::size_t bytes)
         it->second.pop_back();
         return a;
     }
-    return _heap.alloc(bytes, blockSize);
+    return _heap->alloc(bytes, blockSize);
 }
 
 void

@@ -52,11 +52,22 @@ class Workload
              const WorkloadParams &params);
     virtual ~Workload() = default;
 
-    Workload(const Workload &) = delete;
     Workload &operator=(const Workload &) = delete;
 
     /** Allocate structures and run InitOps functionally. */
     void setup();
+
+    /** setup() calls in this process so far (tests, perf accounting). */
+    static std::uint64_t setupCalls();
+
+    /**
+     * A deep copy of this workload bound to @p heap under @p scheme.
+     * @p heap must be a copy of the heap this workload is bound to;
+     * since setup() never records, a post-setup workload forks to any
+     * scheme (see WorkloadSnapshot). Only valid outside generation.
+     */
+    std::unique_ptr<Workload> fork(PersistentHeap &heap,
+                                   LogScheme scheme) const;
 
     /** Record SimOps per thread (round-robin across threads). */
     void generateTraces();
@@ -69,12 +80,16 @@ class Workload
     void replayOps(std::uint64_t ops_per_thread);
 
     unsigned threads() const { return _params.threads; }
-    TraceBuilder &builder(unsigned t) { return *_builders[t]; }
+    TraceBuilder &builder(unsigned t) { return _builders[t]; }
+    const TraceBuilder &builder(unsigned t) const
+    {
+        return _builders[t];
+    }
     const Trace &trace(unsigned t) const
     {
-        return _builders[t]->trace();
+        return _builders[t].trace();
     }
-    PersistentHeap &heap() { return _heap; }
+    PersistentHeap &heap() { return *_heap; }
     const WorkloadParams &params() const { return _params; }
 
     /** Table 2 abbreviation, e.g. "QE". */
@@ -100,6 +115,13 @@ class Workload
         const = 0;
 
   protected:
+    /** Member-wise copy; fork() re-binds the copy's heap and scheme. */
+    Workload(const Workload &) = default;
+
+    /** A copy of the concrete workload (fork()'s first step): one
+     *  line per kind, `std::make_unique<Kind>(*this)`. */
+    virtual std::unique_ptr<Workload> clone() const = 0;
+
     /** Allocate roots, locks, and initial contents (no recording). */
     virtual void allocateStructures() = 0;
 
@@ -172,12 +194,12 @@ class Workload
         return _siteBase + local;
     }
 
-    PersistentHeap &_heap;
+    PersistentHeap *_heap;
     LogScheme _scheme;
     WorkloadParams _params;
 
   private:
-    std::vector<std::unique_ptr<TraceBuilder>> _builders;
+    std::vector<TraceBuilder> _builders;
     std::vector<Random> _rngs;
     std::vector<std::map<std::size_t, std::vector<Addr>>> _freeLists;
     std::map<Addr, std::uint64_t> _lockTickets;

@@ -60,6 +60,20 @@ TEST(MemoryImage, DeepCopyIsIndependent)
     c = a;
     a.write64(0x100, 3);
     EXPECT_EQ(c.read64(0x100), 1u);
+
+    // Pages are shared copy-on-write: a page three images hold changes
+    // only in the image that writes it.
+    {
+        MemoryImage d = c;
+        MemoryImage e = d;
+        e.write64(0x108, 4);
+        EXPECT_EQ(d.read64(0x108), 0u);
+        EXPECT_EQ(c.read64(0x108), 0u);
+        EXPECT_TRUE(c.identical(d));
+    }
+    c.write64(0x100, 5);
+    EXPECT_EQ(c.read64(0x100), 5u);
+    EXPECT_EQ(a.read64(0x100), 3u);
 }
 
 TEST(MemoryImage, ClearDropsPages)

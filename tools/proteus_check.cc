@@ -38,7 +38,10 @@ usage()
         << "commands:\n"
         << "  run <workload|all>  check one workload (or every paper "
         << "workload)\n"
-        << "  replay <file>       check a .ptrace trace snapshot\n"
+        << "  replay <file>       check a .ptrace trace snapshot (the "
+        << "file fixes the\n"
+        << "                      workload, scheme and sizing; other "
+        << "values are an error)\n"
         << "  rules               print the rule set per scheme\n\n"
         << "options:\n"
         << "  --scheme S|all     pmem | pmem+pcommit | pmem+nolog | "
@@ -124,10 +127,19 @@ cmdRun(const std::vector<WorkloadKind> &kinds,
 }
 
 int
-cmdReplay(const std::string &path, const BenchOptions &opts)
+cmdReplay(const std::string &path, const BenchOptions &opts,
+          std::vector<std::string> args)
 {
-    const CheckRow row =
-        runCheckOnBundle(loadTraceBundle(path), opts, path);
+    auto bundle = loadTraceBundle(path);
+    // `--scheme all` names every scheme, the recorded one included.
+    for (auto it = args.begin(); it != args.end(); ++it) {
+        if (*it == "--scheme" && it + 1 != args.end() && it[1] == "all") {
+            args.erase(it, it + 2);
+            break;
+        }
+    }
+    rejectBundleConflicts(args, bundle->key, path);
+    const CheckRow row = runCheckOnBundle(std::move(bundle), opts, path);
     std::cout << formatCheckReport(row);
     if (!opts.jsonPath.empty())
         writeJsonFile(opts.jsonPath, checkRowsJson({row}));
@@ -157,12 +169,13 @@ main(int argc, char **argv)
     }
 
     try {
-        const CheckArgs parsed = parseCheckArgs(std::vector<std::string>(
-            argv + (takes_operand ? 3 : 2), argv + argc));
+        const std::vector<std::string> args(
+            argv + (takes_operand ? 3 : 2), argv + argc);
+        const CheckArgs parsed = parseCheckArgs(args);
         if (command == "rules")
             return cmdRules(parsed.schemes);
         if (command == "replay")
-            return cmdReplay(argv[2], parsed.opts);
+            return cmdReplay(argv[2], parsed.opts, args);
         const std::string operand = argv[2];
         const std::vector<WorkloadKind> kinds =
             operand == "all" ? allPaperWorkloads()

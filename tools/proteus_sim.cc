@@ -14,6 +14,7 @@
 
 #include <iostream>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "crashtest/crash_tester.hh"
@@ -52,8 +53,8 @@ usage()
         << "  --stats            dump the full statistics registry\n"
         << "  --json             dump statistics as JSON (matrix: "
         << "--json FILE)\n"
-        << "replay takes the workload, scheme and sizing from the file."
-        << "\n\n";
+        << "replay takes the workload, scheme and sizing from the file;"
+        << "\na flag that sets them to other values is an error.\n\n";
     BenchOptions::printHelp(std::cout, simFlags);
     return 2;
 }
@@ -148,16 +149,14 @@ cmdListWorkloads()
     return 0;
 }
 
-/** Simulate opts.spec to completion, or the .ptrace bundle at
- *  @p path when it is not empty, and print the run report. */
+/** Simulate opts.spec to completion, or @p bundle (loaded from
+ *  @p path) when it is set, and print the run report. */
 int
-cmdRun(const std::string &path, const CliExtras &extras, BenchOptions opts)
+cmdRun(const std::string &path, std::shared_ptr<const TraceBundle> bundle,
+       const CliExtras &extras, BenchOptions opts)
 {
-    std::shared_ptr<const TraceBundle> bundle;
-    if (!path.empty()) {
-        bundle = loadTraceBundle(path);
+    if (bundle)
         opts.spec = opts.spec.forBundle(bundle->key);
-    }
     const RunSpec &spec = opts.spec;
     if (opts.checkMutate >= 0) {
         // Seeded mutation campaign: every armed rule must catch its
@@ -181,7 +180,7 @@ cmdRun(const std::string &path, const CliExtras &extras, BenchOptions opts)
     if (bundle) {
         std::cout << "replaying " << path << " (" << key.describe()
                   << ")...\n";
-        system.emplace(cfg, bundle);
+        system.emplace(cfg, std::move(bundle));
     } else {
         std::cout << "running " << toString(spec.kind) << " under "
                   << toString(spec.scheme) << " (" << spec.threads
@@ -362,10 +361,15 @@ main(int argc, char **argv)
         const CliExtras extras = extractExtras(args);
         BenchOptions opts = BenchOptions::parse(
             static_cast<int>(args.size()), args.data(), simFlags);
-        if (command == "replay")
-            return cmdRun(argv[2], extras, opts);
+        if (command == "replay") {
+            auto bundle = loadTraceBundle(argv[2]);
+            rejectBundleConflicts(
+                std::vector<std::string>(argv + 3, argv + argc),
+                bundle->key, argv[2]);
+            return cmdRun(argv[2], std::move(bundle), extras, opts);
+        }
         opts.spec.kind = parseWorkload(argv[2]);
-        return command == "run" ? cmdRun("", extras, opts)
+        return command == "run" ? cmdRun("", nullptr, extras, opts)
                                 : cmdCrash(extras, opts);
     } catch (const FatalError &e) {
         std::cerr << e.what() << "\n";
