@@ -1,38 +1,46 @@
 #include "memory_image.hh"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <cstdio>
 
 namespace proteus {
 
 MemoryImage::Page &
-MemoryImage::touch(Addr page_index)
+MemoryImage::touchSlow(Addr page_index)
 {
-    auto it = _pages.find(page_index);
-    if (it == _pages.end()) {
-        it = _pages.emplace(page_index, std::make_shared<Page>()).first;
-    } else if (it->second.use_count() > 1) {
-        // Another image still holds this page: write a private clone.
-        it->second = std::make_shared<Page>(*it->second);
-    } else {
-        // Sole holder. Order this write after every access the other
-        // holders made before they released the page (use_count reads
-        // the count relaxed; the release decrement pairs with this).
-        std::atomic_thread_fence(std::memory_order_acquire);
+    if (!_slots.empty()) {
+        std::shared_ptr<Page> &page = _slots[find(page_index)].page;
+        if (page) {
+            // Another image still holds this page: write a private
+            // clone.
+            page = std::make_shared<Page>(*page);
+            return *page;
+        }
     }
-    return *it->second;
-}
-
-const MemoryImage::Page *
-MemoryImage::peek(Addr page_index) const
-{
-    auto it = _pages.find(page_index);
-    return it == _pages.end() ? nullptr : it->second.get();
+    if (2 * (_used + 1) > _slots.size())
+        rehash(std::max(minSlots, 2 * _slots.size()));
+    Slot &slot = _slots[find(page_index)];
+    slot.index = page_index;
+    slot.page = std::make_shared<Page>();
+    ++_used;
+    return *slot.page;
 }
 
 void
-MemoryImage::read(Addr addr, void *out, std::size_t n) const
+MemoryImage::rehash(std::size_t slots)
+{
+    std::vector<Slot> old(slots);
+    old.swap(_slots);
+    _shift = 64 - static_cast<unsigned>(std::countr_zero(slots));
+    for (Slot &slot : old) {
+        if (slot.page)
+            _slots[find(slot.index)] = std::move(slot);
+    }
+}
+
+void
+MemoryImage::readSlow(Addr addr, void *out, std::size_t n) const
 {
     auto *dst = static_cast<std::uint8_t *>(out);
     while (n > 0) {
@@ -50,7 +58,7 @@ MemoryImage::read(Addr addr, void *out, std::size_t n) const
 }
 
 void
-MemoryImage::write(Addr addr, const void *src, std::size_t n)
+MemoryImage::writeSlow(Addr addr, const void *src, std::size_t n)
 {
     // A write covering a whole poisoned line re-establishes valid ECC.
     if (!_poison.empty()) {
@@ -84,9 +92,11 @@ std::vector<Addr>
 MemoryImage::pageIndices() const
 {
     std::vector<Addr> indices;
-    indices.reserve(_pages.size());
-    for (const auto &[index, page] : _pages)
-        indices.push_back(index);
+    indices.reserve(_used);
+    for (const Slot &slot : _slots) {
+        if (slot.page)
+            indices.push_back(slot.index);
+    }
     std::sort(indices.begin(), indices.end());
     return indices;
 }
@@ -102,15 +112,17 @@ std::vector<MemoryImage::DiffEntry>
 MemoryImage::diff(const MemoryImage &other,
                   std::size_t max_entries) const
 {
-    // The page maps are unordered; walk the sorted union of page
+    // The page tables are unordered; walk the sorted union of page
     // indices so the result is deterministic and address-ordered.
     std::vector<Addr> indices;
-    indices.reserve(_pages.size() + other._pages.size());
-    for (const auto &[index, page] : _pages)
-        indices.push_back(index);
-    for (const auto &[index, page] : other._pages) {
-        if (_pages.find(index) == _pages.end())
-            indices.push_back(index);
+    indices.reserve(_used + other._used);
+    for (const Slot &slot : _slots) {
+        if (slot.page)
+            indices.push_back(slot.index);
+    }
+    for (const Slot &slot : other._slots) {
+        if (slot.page && peek(slot.index) == nullptr)
+            indices.push_back(slot.index);
     }
     std::sort(indices.begin(), indices.end());
 
@@ -162,20 +174,6 @@ MemoryImage::formatDiff(const std::vector<DiffEntry> &entries,
                " more differing words\n";
     }
     return out;
-}
-
-std::uint64_t
-MemoryImage::read64(Addr addr) const
-{
-    std::uint64_t v = 0;
-    read(addr, &v, sizeof(v));
-    return v;
-}
-
-void
-MemoryImage::write64(Addr addr, std::uint64_t value)
-{
-    write(addr, &value, sizeof(value));
 }
 
 } // namespace proteus

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "heap/memory_image.hh"
 
@@ -153,4 +156,174 @@ TEST(MemoryImage, FormatDiffIsBoundedAndMentionsElision)
     EXPECT_NE(text.find("more differing words"), std::string::npos);
     // Exactly 4 value lines plus the elision line.
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
+}
+
+namespace {
+
+/** A byte-wise reference model: absent bytes read as zero. */
+struct ByteRef
+{
+    std::map<Addr, std::uint8_t> bytes;
+
+    void
+    write(Addr addr, const void *src, std::size_t n)
+    {
+        const auto *from = static_cast<const std::uint8_t *>(src);
+        for (std::size_t i = 0; i < n; ++i)
+            bytes[addr + i] = from[i];
+    }
+
+    std::uint8_t
+    at(Addr addr) const
+    {
+        auto it = bytes.find(addr);
+        return it == bytes.end() ? 0 : it->second;
+    }
+};
+
+/** Every byte of [lo, hi) and every 8-byte word starting there reads
+ *  the same through @p img as through @p ref. */
+void
+expectMatches(const MemoryImage &img, const ByteRef &ref, Addr lo, Addr hi)
+{
+    for (Addr a = lo; a < hi; ++a) {
+        std::uint8_t b = 0xFF;
+        img.read(a, &b, 1);
+        ASSERT_EQ(b, ref.at(a)) << "byte at 0x" << std::hex << a;
+        std::uint64_t word = 0;
+        for (unsigned i = 0; i < 8; ++i)
+            word |= std::uint64_t{ref.at(a + i)} << (8 * i);
+        ASSERT_EQ(img.read64(a), word) << "word at 0x" << std::hex << a;
+    }
+}
+
+} // namespace
+
+TEST(MemoryImage, EightByteAccessAtAndAcrossThePageEnd)
+{
+    constexpr Addr page = MemoryImage::pageBytes;
+    MemoryImage img;
+    ByteRef ref;
+    std::uint64_t v = 0x1122334455667788ull;
+    // 4088 ends exactly at the page end (inline path); 4092 and the
+    // unaligned offsets past it cross into the next page (byte loop).
+    for (Addr off : {Addr{4088}, Addr{4092}, Addr{4089}, Addr{4095},
+                     Addr{1}, Addr{4083}, Addr{2 * page - 3}}) {
+        const Addr addr = page + off;
+        img.write64(addr, v);
+        ref.write(addr, &v, 8);
+        v = v * 0x9e3779b97f4a7c15ull + 1;
+        img.write(addr + 2 * page, &v, 8);
+        ref.write(addr + 2 * page, &v, 8);
+        v = v * 0x9e3779b97f4a7c15ull + 1;
+    }
+    expectMatches(img, ref, page - 16, 6 * page + 16);
+    EXPECT_EQ(img.pageCount(), 5u);     // pages 1 through 5
+
+    std::uint64_t out = 0;
+    img.read(page + 4092, &out, 8);
+    EXPECT_EQ(out, img.read64(page + 4092));
+}
+
+TEST(MemoryImage, TableGrowsThroughCollidingPageIndices)
+{
+    // Page indices that are multiples of 2^40 share their low bits, so
+    // a hash that kept only low bits would put them all in one slot.
+    MemoryImage img;
+    std::vector<Addr> indices;
+    for (Addr j = 0; j < 300; ++j) {
+        const Addr index = (j % 3 == 0) ? j : (j << 40);
+        indices.push_back(index);
+        img.write64((index << MemoryImage::pageBits) + 8 * (j % 512),
+                    j + 1);
+        ASSERT_EQ(img.pageCount(), j + 1);
+    }
+    std::sort(indices.begin(), indices.end());
+    EXPECT_EQ(img.pageIndices(), indices);
+
+    const MemoryImage copy = img;
+    for (Addr j = 0; j < 300; ++j) {
+        const Addr index = (j % 3 == 0) ? j : (j << 40);
+        const Addr base = index << MemoryImage::pageBits;
+        EXPECT_EQ(img.read64(base + 8 * (j % 512)), j + 1);
+        EXPECT_EQ(copy.read64(base + 8 * (j % 512)), j + 1);
+        // The next page is never touched: it reads zero and stays
+        // unmaterialized.
+        EXPECT_EQ(img.read64(((index + 1) << MemoryImage::pageBits) + 16),
+                  0u);
+        EXPECT_EQ(img.pageData(index + 1), nullptr);
+    }
+    EXPECT_EQ(img.pageCount(), 300u);
+    EXPECT_TRUE(img.identical(copy));
+    img.clear();
+    EXPECT_EQ(img.pageCount(), 0u);
+    EXPECT_TRUE(img.pageIndices().empty());
+    EXPECT_EQ(copy.pageCount(), 300u);
+}
+
+TEST(MemoryImage, InlineWriteToSharedPageLeavesTheCopy)
+{
+    MemoryImage a;
+    ByteRef ref;
+    for (Addr addr = 0x3000; addr < 0x3000 + MemoryImage::pageBytes;
+         addr += 8) {
+        a.write64(addr, addr * 3);
+        const std::uint64_t v = addr * 3;
+        ref.write(addr, &v, 8);
+    }
+    const MemoryImage copy = a;
+    a.write64(0x3008, 0xabcdefull);     // inline path, shared page
+    a.write64(0x3010, 0x123456ull);     // inline path, now sole holder
+    expectMatches(copy, ref, 0x3000 - 8, 0x4000 + 8);
+    EXPECT_EQ(a.read64(0x3008), 0xabcdefull);
+    EXPECT_EQ(a.read64(0x3010), 0x123456ull);
+    EXPECT_EQ(a.diff(copy).size(), 2u);
+}
+
+TEST(MemoryImage, OnlyAFullLineWriteClearsPoison)
+{
+    MemoryImage img;
+    img.markPoisoned(0x1040);
+    img.write64(0x1040, 1);             // inline path
+    img.write64(0x1078, 2);
+    EXPECT_TRUE(img.isPoisoned(0x1040));
+    std::uint8_t line[64] = {};
+    img.write(0x1041, line, 63);        // byte loop, not the whole line
+    EXPECT_TRUE(img.isPoisoned(0x1040));
+    img.write(0x1040, line, 64);
+    EXPECT_FALSE(img.isPoisoned(0x1040));
+    EXPECT_EQ(img.poisonedCount(), 0u);
+}
+
+TEST(MemoryImage, ConcurrentReadersOfSharedPages)
+{
+    constexpr Addr pages = 64;
+    MemoryImage shared;
+    for (Addr p = 0; p < pages; ++p)
+        shared.write64(p << MemoryImage::pageBits, p + 1);
+
+    constexpr unsigned threads = 4;
+    std::vector<std::thread> pool;
+    std::vector<int> bad(threads, 0);
+    for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&shared, &bad, t] {
+            MemoryImage mine = shared;
+            for (unsigned round = 0; round < 4; ++round) {
+                for (Addr p = 0; p < pages; ++p) {
+                    const Addr addr = p << MemoryImage::pageBits;
+                    if (shared.read64(addr) != p + 1)
+                        ++bad[t];
+                    mine.write64(addr, (p + 1) * (t + 2) + round);
+                    if (mine.read64(addr) != (p + 1) * (t + 2) + round)
+                        ++bad[t];
+                }
+            }
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    for (unsigned t = 0; t < threads; ++t)
+        EXPECT_EQ(bad[t], 0) << "thread " << t;
+    for (Addr p = 0; p < pages; ++p)
+        EXPECT_EQ(shared.read64(p << MemoryImage::pageBits), p + 1);
 }
