@@ -12,7 +12,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     std::cout << "Ablation: LLT size sweep (8-way)\n"
               << "scale=" << opts.spec.scale
               << " threads=" << opts.spec.threads
@@ -33,7 +33,7 @@ main(int argc, char **argv)
             SimJob{spec.with(LogScheme::Proteus, WorkloadKind::RbTree),
                    "LLT=" + std::to_string(entries) + " RT"});
     }
-    const auto results = bench::runBatch(opts, jobs);
+    const auto results = runBatch(opts, jobs);
 
     TablePrinter table({"LLT", "QE miss", "RT miss", "QE cyc x",
                         "RT cyc x"});

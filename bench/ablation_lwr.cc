@@ -12,7 +12,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     std::cout << "Ablation: log write removal on/off\n"
               << "scale=" << opts.spec.scale
               << " threads=" << opts.spec.threads
@@ -23,9 +23,9 @@ main(int argc, char **argv)
     for (WorkloadKind w : workloads) {
         for (LogScheme s : {LogScheme::Proteus, LogScheme::ProteusNoLWR})
             jobs.push_back(
-                SimJob{opts.spec.with(s, w), bench::jobLabel(s, w)});
+                SimJob{opts.spec.with(s, w), jobLabel(s, w)});
     }
-    const auto results = bench::runBatch(opts, jobs);
+    const auto results = runBatch(opts, jobs);
 
     TablePrinter table({"benchmark", "speedup", "writes x", "dropped"});
     std::cout << "Proteus relative to Proteus+NoLWR\n";

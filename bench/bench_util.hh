@@ -8,6 +8,7 @@
 #ifndef PROTEUS_BENCH_BENCH_UTIL_HH
 #define PROTEUS_BENCH_BENCH_UTIL_HH
 
+#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "harness/experiments.hh"
 #include "harness/parallel_runner.hh"
+#include "sim/logging.hh"
 
 namespace proteus {
 namespace bench {
@@ -40,45 +42,17 @@ struct Matrix
     }
 };
 
-/** Progress label for one (scheme, workload) job. */
-inline std::string
-jobLabel(LogScheme s, WorkloadKind w)
+/** BenchOptions::parse for a bench binary's main(): a bad flag or
+ *  value prints its message and exits 1 instead of aborting. */
+inline BenchOptions
+parseOptions(int argc, char **argv)
 {
-    return std::string(toString(s)) + " / " + toString(w);
-}
-
-/** Run a batch of jobs on opts.jobs worker threads with serialized
- *  progress reporting; results come back in submission order. Also
- *  honors --json by writing one result row per job. */
-inline std::vector<SimJobResult>
-runBatch(const BenchOptions &opts, const std::vector<SimJob> &jobs)
-{
-    ParallelRunner runner(opts.jobs);
-    ProgressReporter progress(std::cerr);
-    const auto results = runner.run(jobs, opts, &progress);
-
-    if (!opts.jsonPath.empty()) {
-        std::vector<JsonResultRow> rows;
-        rows.reserve(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            rows.push_back(JsonResultRow{toString(jobs[i].spec.scheme),
-                                         toString(jobs[i].spec.kind),
-                                         results[i].result,
-                                         results[i].wallMs});
-        writeJsonResults(opts.jsonPath, rows);
+    try {
+        return BenchOptions::parse(argc, argv);
+    } catch (const FatalError &e) {
+        std::cerr << e.what() << "\n";
+        std::exit(1);
     }
-    if (!opts.txStats.empty()) {
-        // One combined flight-recorder file, rows in submission order
-        // (the runner suppressed per-job writes), so the bytes are
-        // identical at any --jobs level.
-        std::vector<obs::TxStatsRow> rows;
-        rows.reserve(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            rows.push_back(
-                makeTxStatsRow(jobs[i].spec, results[i].result));
-        obs::writeTxStatsFile(opts.txStats, rows);
-    }
-    return results;
 }
 
 /**
@@ -90,13 +64,8 @@ inline Matrix
 runMatrix(const BenchOptions &opts, const std::vector<LogScheme> &schemes,
           const std::vector<WorkloadKind> &workloads)
 {
-    std::vector<SimJob> jobs;
-    jobs.reserve(schemes.size() * workloads.size());
-    for (LogScheme s : schemes) {
-        for (WorkloadKind w : workloads)
-            jobs.push_back(SimJob{opts.spec.with(s, w), jobLabel(s, w)});
-    }
-    const auto outcomes = runBatch(opts, jobs);
+    const auto outcomes =
+        runBatch(opts, matrixJobs(opts.spec, schemes, workloads));
 
     Matrix m;
     m.workloads = workloads;

@@ -72,7 +72,7 @@ main(int argc, char **argv)
         }
     }
     BenchOptions opts =
-        BenchOptions::parse(static_cast<int>(passThrough.size()),
+        bench::parseOptions(static_cast<int>(passThrough.size()),
                             passThrough.data());
 
     const std::vector<LogScheme> schemes{
@@ -102,11 +102,11 @@ main(int argc, char **argv)
                 }
                 jobs.push_back(SimJob{spec, std::string(tier.name) +
                                                 " / " +
-                                                bench::jobLabel(s, w)});
+                                                jobLabel(s, w)});
             }
         }
     }
-    const auto outcomes = bench::runBatch(opts, jobs);
+    const auto outcomes = runBatch(opts, jobs);
 
     // Crash campaigns: every faulty tier, all schemes x workloads,
     // byte-exact oracle checking (threads=1 by requirement).
@@ -127,7 +127,6 @@ main(int argc, char **argv)
         ct.autoPoints = 5;
         ct.jobs = opts.jobs;
         ct.cycleSkip = opts.cycleSkip;
-        ct.useTraceCache = opts.traceCache;
         ct.faults =
             faults::parseFaultSpec(tier.spec, opts.spec.faults);
         std::ostringstream progress;

@@ -15,7 +15,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     std::cout << "Figure 6: speedup on NVMM (baseline: PMEM software "
               << "logging, ADR)\n"
               << "scale=" << opts.spec.scale

@@ -15,7 +15,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     std::cout << "Figure 7: front-end stall cycles normalized to "
               << "PMEM+nolog\n"
               << "scale=" << opts.spec.scale

@@ -15,7 +15,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     std::cout << "Figure 8: NVM writes normalized to PMEM+nolog\n"
               << "scale=" << opts.spec.scale
               << " threads=" << opts.spec.threads

@@ -14,7 +14,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     // Section 7.1: write tRCD of 240 memory cycles (300 ns at 800 MHz).
     opts.spec.overrides.push_back("mem.nvmWriteTRCD=240");
     std::cout << "Figure 9: speedup on slow NVMM (300 ns writes)\n"

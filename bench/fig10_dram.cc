@@ -13,7 +13,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     opts.spec.dram = true;
     std::cout << "Figure 10: speedup on DRAM (NVDIMM, Section 7.2)\n"
               << "scale=" << opts.spec.scale

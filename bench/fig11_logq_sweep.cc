@@ -16,7 +16,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     std::cout << "Figure 11: speedup vs LogQ size (baseline PMEM"
               << (opts.spec.dram ? ", DRAM timing" : "") << ")\n"
               << "scale=" << opts.spec.scale
@@ -42,7 +42,7 @@ main(int argc, char **argv)
                                             " / " + toString(w)});
         }
     }
-    const auto results = bench::runBatch(opts, jobs);
+    const auto results = runBatch(opts, jobs);
 
     std::vector<std::string> cols{"LogQ"};
     for (WorkloadKind w : workloads)

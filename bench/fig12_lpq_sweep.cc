@@ -15,7 +15,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     std::cout << "Figure 12: speedup vs LPQ size (LogQ=16, baseline "
               << "PMEM)\n"
               << "scale=" << opts.spec.scale
@@ -43,7 +43,7 @@ main(int argc, char **argv)
                                             " / " + toString(w)});
         }
     }
-    const auto results = bench::runBatch(opts, jobs);
+    const auto results = runBatch(opts, jobs);
 
     std::vector<std::string> cols{"LPQ"};
     for (WorkloadKind w : workloads)

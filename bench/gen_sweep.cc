@@ -72,7 +72,7 @@ main(int argc, char **argv)
 {
     std::vector<char *> args(argv, argv + argc);
     const SweepAxes axes = extractAxes(args);
-    BenchOptions opts = BenchOptions::parse(
+    BenchOptions opts = bench::parseOptions(
         static_cast<int>(args.size()), args.data());
     if (opts.jsonPath.empty())
         opts.jsonPath = "BENCH_gen.json";
@@ -118,7 +118,7 @@ main(int argc, char **argv)
         }
     }
 
-    // Run directly (not bench::runBatch): the JSON and tx-stats rows
+    // Run directly (not runBatch): the JSON and tx-stats rows
     // must carry the combo name, not the bare "GEN" workload label.
     ParallelRunner runner(opts.jobs);
     ProgressReporter progress(std::cerr);

@@ -8,6 +8,7 @@
 
 #include "dram/nvm_timing.hh"
 #include "cache/cache_array.hh"
+#include "harness/run_spec.hh"
 #include "harness/system.hh"
 #include "heap/memory_image.hh"
 #include "logging/llt.hh"
@@ -115,18 +116,19 @@ BENCHMARK(BM_NvmTimingIssue);
 void
 BM_FullSystemTimedRun(benchmark::State &state)
 {
-    WorkloadParams params;
-    params.threads = 2;
-    params.scale = 500;
-    params.initScale = 100;
-    params.seed = 3;
+    RunSpec spec;
+    spec.kind = WorkloadKind::BTree;
+    spec.threads = 2;
+    spec.scale = 500;
+    spec.initScale = 100;
+    spec.seed = 3;
+    const SystemConfig cfg = spec.config();
+    const TraceBundleKey key = spec.key();
 
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         state.PauseTiming();
-        SystemConfig cfg = baselineConfig();
-        cfg.logging.scheme = LogScheme::Proteus;
-        FullSystem system(cfg, WorkloadKind::BTree, params);
+        FullSystem system(cfg, TraceBundle::build(key));
         state.ResumeTiming();
 
         const RunResult r = system.run(500'000'000ull);

@@ -15,7 +15,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     std::cout << "Table 3: speedups for large transactions "
               << "(linked-list microbenchmark)\n"
               << "scale=" << opts.spec.scale
@@ -40,7 +40,7 @@ main(int argc, char **argv)
                                             " " + toString(s)});
         }
     }
-    const auto results = bench::runBatch(opts, jobs);
+    const auto results = runBatch(opts, jobs);
 
     for (std::size_t i = 0; i < sizes.size(); ++i) {
         const double base = static_cast<double>(

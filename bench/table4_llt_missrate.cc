@@ -15,7 +15,7 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = bench::parseOptions(argc, argv);
     std::cout << "Table 4: LLT miss rate (64 entries, 8-way)\n"
               << "scale=" << opts.spec.scale
               << " threads=" << opts.spec.threads
@@ -31,7 +31,7 @@ main(int argc, char **argv)
         jobs.push_back(
             SimJob{opts.spec.with(LogScheme::Proteus, w), toString(w)});
     }
-    const auto results = bench::runBatch(opts, jobs);
+    const auto results = runBatch(opts, jobs);
 
     TablePrinter table({"benchmark", "miss rate", "paper"});
     table.printHeader(std::cout);

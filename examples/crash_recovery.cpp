@@ -25,10 +25,12 @@ main(int argc, char **argv)
     spec.threads = 1;       // single thread: exact prefix comparison
     const SystemConfig cfg = opts.makeConfig(spec);
     const WorkloadParams params = spec.key().params;
+    // One functional execution; both machines are wired from it.
+    const auto bundle = TraceBundle::build(spec.key());
 
     // First, learn how long the full run takes.
     std::cout << "Measuring the full run...\n";
-    FullSystem full(cfg, WorkloadKind::HashMap, params);
+    FullSystem full(cfg, bundle);
     const RunResult complete = full.run();
     std::cout << "  " << complete.committedTxs << " transactions in "
               << complete.cycles << " cycles\n";
@@ -37,7 +39,7 @@ main(int argc, char **argv)
     const Tick crash_at = complete.cycles * 2 / 5;
     std::cout << "Re-running and crashing at cycle " << crash_at
               << "...\n";
-    FullSystem sys(cfg, WorkloadKind::HashMap, params);
+    FullSystem sys(cfg, bundle);
     sys.runFor(crash_at);
 
     // The crash image: NVM + whatever the battery drains (ADR).

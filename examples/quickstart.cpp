@@ -25,7 +25,7 @@ main(int argc, char **argv)
               << "-core system running the QE workload under "
               << toString(spec.scheme) << "...\n";
 
-    FullSystem system(opts.makeConfig(spec), spec.kind, spec.key().params);
+    FullSystem system(opts.makeConfig(spec), TraceBundle::build(spec.key()));
     const RunResult r = system.run();
 
     std::cout << "finished:            "

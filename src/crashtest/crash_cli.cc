@@ -1,5 +1,6 @@
 /** @file proteus-crashtest's argument parser (see crash_tester.hh). */
 
+#include <climits>
 #include <sstream>
 
 #include "crash_tester.hh"
@@ -71,38 +72,39 @@ parseCrashTestArgs(const std::vector<std::string> &args)
                 fatal(arg + " needs a value");
             return args[++i];
         };
+        auto number = [&](std::uint64_t hi = UINT64_MAX) {
+            return Arg{arg, value()}.number(0, hi);
+        };
         if (arg == "--sweep") {
             opts.mode = CrashMode::Stride;
             opts.stride = 0;
         } else if (arg == "--sweep-points") {
-            opts.autoPoints = static_cast<unsigned>(std::stoul(value()));
+            opts.autoPoints = static_cast<unsigned>(number(UINT_MAX));
         } else if (arg == "--crash-stride") {
             opts.mode = CrashMode::Stride;
-            opts.stride = std::stoull(value());
+            opts.stride = number();
         } else if (arg == "--crash-at") {
             opts.mode = CrashMode::Points;
             opts.points.clear();
             for (const std::string &c : splitList(value()))
-                opts.points.push_back(std::stoull(c));
+                opts.points.push_back(Arg{arg, c}.number());
         } else if (arg == "--fuzz") {
             opts.mode = CrashMode::Fuzz;
-            opts.fuzzCount = static_cast<unsigned>(std::stoul(value()));
+            opts.fuzzCount = static_cast<unsigned>(number(UINT_MAX));
         } else if (arg == "--schemes") {
             opts.schemes = parseSchemes(value());
         } else if (arg == "--workloads") {
             opts.workloads = parseWorkloads(value());
         } else if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(std::stoul(value()));
+            opts.jobs = static_cast<unsigned>(number(UINT_MAX));
         } else if (arg == "--json") {
             opts.jsonPath = value();
         } else if (arg == "--max-violations") {
-            opts.maxViolations = std::stoul(value());
+            opts.maxViolations = number();
         } else if (arg == "--no-serialize") {
             opts.checkSerialization = false;
         } else if (arg == "--check") {
             opts.check = true;
-        } else if (arg == "--no-trace-cache") {
-            opts.useTraceCache = false;
         } else if (arg == "--no-cycle-skip") {
             opts.cycleSkip = false;
         } else if (arg == "--break-recovery") {

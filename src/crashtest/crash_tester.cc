@@ -350,23 +350,15 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     cfg.cycleSkip = opts.cycleSkip;
     const TraceBundleKey key = spec.key();
 
-    // One functional execution serves both the reference run and the
-    // crash-injected run (shared through the cache when it is on); the
-    // oracle is rebuilt from the bundle's recorded write history, which
-    // is equivalent to live attachment during trace generation. Every
-    // crash point's committed-prefix replay forks the same post-setup
-    // snapshot the bundle was built from.
-    std::shared_ptr<const WorkloadSnapshot> snapshot;
-    std::shared_ptr<const TraceBundle> bundle;
-    if (opts.useTraceCache) {
-        bundle = TraceCache::global().get(key, /*want_history=*/true);
-        snapshot = TraceCache::global().snapshot(key);
-    } else {
-        snapshot =
-            WorkloadSnapshot::build(key.kind, key.params, key.extras());
-        bundle = TraceBundle::build(key, /*want_history=*/true,
-                                    snapshot.get());
-    }
+    // One cached functional execution serves both the reference run
+    // and the crash-injected run; the oracle is rebuilt from the
+    // bundle's recorded write history, which is equivalent to live
+    // attachment during trace generation. Every crash point's
+    // committed-prefix replay forks the same post-setup snapshot the
+    // bundle was built from.
+    const auto bundle =
+        TraceCache::global().get(key, /*want_history=*/true);
+    const auto snapshot = TraceCache::global().snapshot(key);
     CommitOracle oracle;
     bundle->history->replayTo(oracle);
 
@@ -502,6 +494,44 @@ writeJson(const std::string &path, const CrashTestOptions &opts,
 }
 
 } // namespace
+
+bool
+crashAndRecover(const RunSpec &spec, const SystemConfig &cfg,
+                unsigned percent, std::ostream &os)
+{
+    if (spec.scheme == LogScheme::PMEMNoLog)
+        fatal("pmem+nolog is not failure-safe; nothing to recover");
+    const auto bundle = TraceBundle::build(spec.key());
+
+    os << "measuring the full run...\n";
+    const RunResult complete = FullSystem(cfg, bundle).run();
+    const Tick crash_at = complete.cycles * percent / 100;
+
+    os << "crashing at cycle " << crash_at << " (" << percent << "% of "
+       << complete.cycles << ")...\n";
+    FullSystem sys(cfg, bundle);
+    sys.runFor(crash_at);
+    MemoryImage image = sys.crashImage();
+
+    std::uint64_t committed = 0;
+    for (unsigned t = 0; t < sys.coreCount(); ++t)
+        committed += sys.core(t).committedTxs().size();
+    os << "committed transactions at crash: " << committed << "\n";
+
+    const std::vector<RecoveryResult> recovered =
+        recoverAllThreads(sys, image);
+    for (std::size_t t = 0; t < recovered.size(); ++t) {
+        os << "  thread " << t << ": "
+           << (recovered[t].didUndo ? "rolled back one transaction"
+                                    : "nothing in flight")
+           << " (" << recovered[t].entriesApplied << " entries)\n";
+    }
+
+    const std::string err = sys.workload().checkInvariants(image);
+    os << "invariants after recovery: " << (err.empty() ? "OK" : err)
+       << "\n";
+    return err.empty();
+}
 
 CrashTestSummary
 runCrashTests(const CrashTestOptions &opts, std::ostream &os)

@@ -74,15 +74,6 @@ struct CrashTestOptions
     /** Arm the persistency-order checker (src/analysis) on each pair's
      *  reference run; ordering violations count against the pair. */
     bool check = false;
-    /**
-     * Share TraceBundles through the process-global TraceCache: the
-     * reference run and the crash-injected run of each pair reuse one
-     * functional execution (the oracle is rebuilt by replaying the
-     * bundle's WriteHistory), and repeated campaigns in one process
-     * skip trace generation entirely. Results are bit-identical with
-     * the cache on or off.
-     */
-    bool useTraceCache = true;
     /** Quiescence-driven cycle skipping (see SystemConfig::cycleSkip).
      *  Crash points are cycle numbers; skipping clamps to them via
      *  run()'s limit, so sweeps are bit-identical either way. */
@@ -176,6 +167,15 @@ struct CrashTestSummary
  */
 std::vector<RecoveryResult> recoverAllThreads(FullSystem &system,
                                               MemoryImage &image);
+
+/**
+ * proteus-sim crash: run @p spec on @p cfg to completion, run it again
+ * from the same bundle to @p percent of those cycles, crash, recover
+ * every thread and check the workload's invariants on the recovered
+ * image. The report goes to @p os. @return true when they hold.
+ */
+bool crashAndRecover(const RunSpec &spec, const SystemConfig &cfg,
+                     unsigned percent, std::ostream &os);
 
 /**
  * Run the campaign described by @p opts; progress and failure reports

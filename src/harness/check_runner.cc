@@ -5,35 +5,12 @@
 #include <sstream>
 
 #include "harness/trace_cache.hh"
+#include "sim/json_util.hh"
 #include "sim/logging.hh"
 
 namespace proteus {
 
 namespace {
-
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::ostringstream os;
-    for (char c : s) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                os << "\\u" << std::hex << std::setw(4)
-                   << std::setfill('0') << static_cast<int>(c)
-                   << std::dec << std::setfill(' ');
-            } else {
-                os << c;
-            }
-        }
-    }
-    return os.str();
-}
 
 std::string
 hex(Addr addr)
@@ -81,12 +58,9 @@ runChecked(const RunSpec &spec, const BenchOptions &opts,
  *  undo-logged stores from fresh-allocation stores and so arms
  *  LogBeforeData for the software schemes. */
 std::shared_ptr<const TraceBundle>
-historyBundle(const RunSpec &spec, const BenchOptions &opts)
+historyBundle(const RunSpec &spec)
 {
-    const TraceBundleKey key = spec.key();
-    if (opts.traceCache)
-        return TraceCache::global().get(key, /*want_history=*/true);
-    return TraceBundle::build(key, /*want_history=*/true);
+    return TraceCache::global().get(spec.key(), /*want_history=*/true);
 }
 
 } // namespace
@@ -141,7 +115,7 @@ checkReplayLine(const std::string &path, const RunSpec &spec)
 CheckRow
 runCheck(const RunSpec &spec, const BenchOptions &opts)
 {
-    return runChecked(spec, opts, historyBundle(spec, opts),
+    return runChecked(spec, opts, historyBundle(spec),
                       checkReproLine(spec));
 }
 
@@ -211,7 +185,7 @@ runMutationCampaign(const RunSpec &spec, const BenchOptions &opts,
                                        mutate_seed, i]() {
             std::uint64_t mutations = 0;
             const CheckRow run = runChecked(
-                spec, opts, historyBundle(spec, opts),
+                spec, opts, historyBundle(spec),
                 checkReproLine(spec), static_cast<int>(r), mutate_seed,
                 &mutations);
             MutationRow &row = rows[i];
@@ -298,14 +272,14 @@ checkRowsJson(const std::vector<CheckRow> &rows)
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const CheckRow &row = rows[i];
         const analysis::CheckOutcome &o = row.outcome;
-        os << "  {\"scheme\": \"" << jsonEscape(toString(row.scheme))
-           << "\", \"workload\": \"" << toString(row.kind)
+        os << "  {\"scheme\": " << json::quoted(toString(row.scheme))
+           << ", \"workload\": \"" << toString(row.kind)
            << "\", \"pass\": " << (o.pass() ? "true" : "false")
            << ", \"events\": " << o.eventsSeen
            << ", \"violations\": " << o.totalViolations
            << ", \"cycles\": " << row.run.cycles
            << ", \"committedTxs\": " << row.run.committedTxs
-           << ", \"repro\": \"" << jsonEscape(o.repro) << "\""
+           << ", \"repro\": " << json::quoted(o.repro)
            << ", \"rules\": [";
         for (unsigned r = 0; r < analysis::numRules; ++r) {
             os << (r ? ", " : "") << "{\"name\": \""
@@ -322,9 +296,9 @@ checkRowsJson(const std::vector<CheckRow> &rows)
                << viol.core << ", \"tx\": " << viol.tx
                << ", \"addr\": \"" << hex(viol.addr)
                << "\", \"ordinal\": " << viol.ordinal << ", \"tick\": "
-               << viol.tick << ", \"missingEdge\": \""
-               << jsonEscape(viol.missingEdge) << "\", \"detail\": \""
-               << jsonEscape(viol.detail) << "\"}";
+               << viol.tick << ", \"missingEdge\": "
+               << json::quoted(viol.missingEdge) << ", \"detail\": "
+               << json::quoted(viol.detail) << "}";
         }
         os << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
@@ -338,8 +312,8 @@ mutationRowsJson(LogScheme scheme, WorkloadKind kind,
                  const std::vector<MutationRow> &rows)
 {
     std::ostringstream os;
-    os << "{\"scheme\": \"" << jsonEscape(toString(scheme))
-       << "\", \"workload\": \"" << toString(kind)
+    os << "{\"scheme\": " << json::quoted(toString(scheme))
+       << ", \"workload\": \"" << toString(kind)
        << "\", \"seed\": " << mutate_seed
        << ", \"pass\": " << (allFired(rows) ? "true" : "false")
        << ", \"rules\": [\n";

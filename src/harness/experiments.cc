@@ -1,5 +1,6 @@
 #include "experiments.hh"
 
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -35,15 +36,14 @@ BenchOptions::parse(const std::vector<std::string> &args,
             return args[++i];
         };
         if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(std::stoul(next()));
+            opts.jobs =
+                static_cast<unsigned>(Arg{arg, next()}.number(0, UINT_MAX));
         } else if (arg == "--json") {
             opts.jsonPath = next();
-        } else if (arg == "--no-trace-cache") {
-            opts.traceCache = false;
         } else if (arg == "--no-cycle-skip") {
             opts.cycleSkip = false;
         } else if (arg == "--stats-interval") {
-            opts.statsInterval = std::stoull(next());
+            opts.statsInterval = Arg{arg, next()}.number();
         } else if (arg == "--stats-out") {
             opts.statsOut = next();
         } else if (arg == "--trace-events") {
@@ -53,12 +53,13 @@ BenchOptions::parse(const std::vector<std::string> &args,
         } else if (arg == "--tx-stats") {
             opts.txStats = next();
         } else if (arg == "--tx-slowest") {
-            opts.txSlowest = std::stoull(next());
+            opts.txSlowest = Arg{arg, next()}.number();
         } else if (arg == "--check") {
             opts.check = true;
         } else if (arg == "--check-mutate") {
             opts.check = true;
-            opts.checkMutate = std::stol(next());
+            opts.checkMutate =
+                static_cast<long>(Arg{arg, next()}.number(0, LONG_MAX));
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "options:\n";
             printHelp(std::cout, spec_flags);
@@ -77,8 +78,6 @@ BenchOptions::printHelp(std::ostream &os, unsigned spec_flags)
     os << "  --jobs N           host worker threads for batch runs "
        << "(default: all cores)\n"
        << "  --json FILE        write per-run results as JSON rows\n"
-       << "  --no-trace-cache   rebuild traces per run instead of "
-       << "sharing cached bundles\n"
        << "  --no-cycle-skip    tick every cycle instead of skipping "
        << "quiescent spans\n"
        << "                     (same results, slower)\n"
@@ -158,19 +157,11 @@ runExperiment(const RunSpec &spec, const BenchOptions &opts)
         cfg.analysis.repro = checkReproLine(spec);
     }
 
-    const TraceBundleKey key = spec.key();
-    RunResult result;
-    if (opts.traceCache) {
-        // Checked runs need the write history so the software schemes
-        // arm LogBeforeData too (undo-logged vs. storeInit stores).
-        FullSystem system(
-            cfg, TraceCache::global().get(key,
-                                          /*want_history=*/opts.check));
-        result = system.run();
-    } else {
-        FullSystem system(cfg, key.kind, key.params, key.extras());
-        result = system.run();
-    }
+    // Checked runs need the write history so the software schemes arm
+    // LogBeforeData too (undo-logged vs. storeInit stores).
+    FullSystem system(cfg, TraceCache::global().get(
+                               spec.key(), /*want_history=*/opts.check));
+    const RunResult result = system.run();
     if (opts.check && result.check && !result.check->pass()) {
         std::cerr << formatCheckReport(
             CheckRow{spec.scheme, spec.kind, result, *result.check});

@@ -29,7 +29,6 @@ struct BenchOptions
     RunSpec spec;
     unsigned jobs = 0;          ///< host worker threads; 0 = all cores
     std::string jsonPath;       ///< write per-run JSON rows ("" = off)
-    bool traceCache = true;     ///< share TraceBundles across runs
     bool cycleSkip = true;      ///< --no-cycle-skip to force per-cycle
 
     /// @name Observability (see ObservabilityConfig)
@@ -54,7 +53,7 @@ struct BenchOptions
     /// @}
 
     /** Parse argv: the spec flags in @p spec_flags (see RunSpec) plus
-     *  --jobs N, --json FILE, --no-trace-cache, --no-cycle-skip,
+     *  --jobs N, --json FILE, --no-cycle-skip,
      *  --stats-interval N, --stats-out FILE, --trace-events FILE,
      *  --trace-categories LIST, --tx-stats FILE, --tx-slowest K,
      *  --check and --check-mutate N. Exits on --help. */

@@ -3,7 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <ostream>
+#include <iostream>
 #include <sstream>
 #include <thread>
 
@@ -22,6 +22,25 @@ perJobPath(const std::string &path, std::size_t index)
         return path + tag;
     }
     return path.substr(0, dot) + tag + path.substr(dot);
+}
+
+std::string
+jobLabel(LogScheme scheme, WorkloadKind kind)
+{
+    return std::string(toString(scheme)) + " / " + toString(kind);
+}
+
+std::vector<SimJob>
+matrixJobs(const RunSpec &spec, const std::vector<LogScheme> &schemes,
+           const std::vector<WorkloadKind> &kinds)
+{
+    std::vector<SimJob> jobs;
+    jobs.reserve(schemes.size() * kinds.size());
+    for (LogScheme s : schemes) {
+        for (WorkloadKind k : kinds)
+            jobs.push_back(SimJob{spec.with(s, k), jobLabel(s, k)});
+    }
+    return jobs;
 }
 
 ProgressReporter::ProgressReporter(std::ostream &os) : _os(os)
@@ -174,6 +193,34 @@ ParallelRunner::run(const std::vector<SimJob> &batch,
     const std::vector<double> wallMs = runTasks(tasks, progress);
     for (std::size_t i = 0; i < batch.size(); ++i)
         results[i].wallMs = wallMs[i];
+    return results;
+}
+
+std::vector<SimJobResult>
+runBatch(const BenchOptions &opts, const std::vector<SimJob> &jobs)
+{
+    ParallelRunner runner(opts.jobs);
+    ProgressReporter progress(std::cerr);
+    const auto results = runner.run(jobs, opts, &progress);
+
+    if (!opts.jsonPath.empty()) {
+        std::vector<JsonResultRow> rows;
+        rows.reserve(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            rows.push_back(JsonResultRow{toString(jobs[i].spec.scheme),
+                                         toString(jobs[i].spec.kind),
+                                         results[i].result,
+                                         results[i].wallMs});
+        writeJsonResults(opts.jsonPath, rows);
+    }
+    if (!opts.txStats.empty()) {
+        std::vector<obs::TxStatsRow> rows;
+        rows.reserve(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            rows.push_back(
+                makeTxStatsRow(jobs[i].spec, results[i].result));
+        obs::writeTxStatsFile(opts.txStats, rows);
+    }
     return results;
 }
 

@@ -38,6 +38,14 @@ struct SimJob
     std::string label;          ///< progress text, e.g. "Proteus / QE"
 };
 
+/** Progress label for one (scheme, workload) job: "Proteus / QE". */
+std::string jobLabel(LogScheme scheme, WorkloadKind kind);
+
+/** One job per (scheme, workload) on @p spec, scheme-major. */
+std::vector<SimJob> matrixJobs(const RunSpec &spec,
+                               const std::vector<LogScheme> &schemes,
+                               const std::vector<WorkloadKind> &kinds);
+
 /** Outcome of one job: simulated counters plus host wall-clock. */
 struct SimJobResult
 {
@@ -121,6 +129,16 @@ class ParallelRunner
   private:
     unsigned _workers;
 };
+
+/**
+ * Run @p jobs on opts.jobs worker threads with progress on stderr and
+ * return the results in submission order. Then write the batch's
+ * outputs: one --json row per job, and every job's flight-recorder
+ * row in one --tx-stats file, so the bytes are identical at any
+ * --jobs level.
+ */
+std::vector<SimJobResult> runBatch(const BenchOptions &opts,
+                                   const std::vector<SimJob> &jobs);
 
 } // namespace proteus
 

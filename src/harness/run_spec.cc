@@ -7,6 +7,26 @@
 
 namespace proteus {
 
+std::uint64_t
+Arg::number(std::uint64_t lo, std::uint64_t hi) const
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        fatal(flag, " needs a non-negative integer (got '", text, "')");
+    std::uint64_t n = 0;
+    try {
+        n = std::stoull(text);
+    } catch (const std::out_of_range &) {
+        fatal(flag, " is out of range (got ", text, ")");
+    }
+    if (n < lo || n > hi) {
+        if (hi >= UINT_MAX)
+            fatal(flag, " must be >= ", lo, " (got ", n, ")");
+        fatal(flag, " must be in [", lo, ", ", hi, "] (got ", n, ")");
+    }
+    return n;
+}
+
 namespace {
 
 /** Reject a `--set` of a key the spec derives, naming its flag. */
@@ -28,42 +48,6 @@ rejectOwnedKey(const std::string &override_spec)
                   instead);
     }
 }
-
-/** A flag's value, with the flag's name for error messages. */
-struct Arg
-{
-    const std::string &flag;
-    const std::string &text;
-
-    /** The value as an integer in [lo, hi]; FatalError otherwise. */
-    std::uint64_t
-    number(std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX) const
-    {
-        if (text.empty() ||
-            text.find_first_not_of("0123456789") != std::string::npos)
-            fatal(flag, " needs a non-negative integer (got '", text,
-                  "')");
-        std::uint64_t n = 0;
-        try {
-            n = std::stoull(text);
-        } catch (const std::out_of_range &) {
-            fatal(flag, " is out of range (got ", text, ")");
-        }
-        if (n < lo || n > hi) {
-            if (hi >= UINT_MAX)
-                fatal(flag, " must be >= ", lo, " (got ", n, ")");
-            fatal(flag, " must be in [", lo, ", ", hi, "] (got ", n, ")");
-        }
-        return n;
-    }
-
-    /** A positive unsigned count up to @p hi. */
-    unsigned
-    count(unsigned hi = UINT_MAX) const
-    {
-        return static_cast<unsigned>(number(1, hi));
-    }
-};
 
 /** One command-line flag that sets a RunSpec field. */
 struct Flag

@@ -43,6 +43,25 @@ enum : unsigned
 };
 } // namespace specflag
 
+/** A flag's value, with the flag's name for error messages. Every
+ *  numeric command-line value is read through it. */
+struct Arg
+{
+    const std::string &flag;
+    const std::string &text;
+
+    /** The value as an integer in [lo, hi]; FatalError naming the flag
+     *  otherwise. */
+    std::uint64_t number(std::uint64_t lo = 0,
+                         std::uint64_t hi = UINT64_MAX) const;
+
+    /** A positive unsigned count up to @p hi. */
+    unsigned count(unsigned hi = UINT32_MAX) const
+    {
+        return static_cast<unsigned>(number(1, hi));
+    }
+};
+
 /** @return true when @p scheme runs inside the ADR domain. */
 bool adrForScheme(LogScheme scheme);
 

@@ -4,37 +4,6 @@
 
 namespace proteus {
 
-FullSystem::FullSystem(const SystemConfig &cfg, WorkloadKind kind,
-                       const WorkloadParams &params,
-                       const WorkloadExtras &extras)
-    : _cfg(cfg)
-{
-    if (params.threads > cfg.cores)
-        fatal("FullSystem: workload threads exceed core count");
-    if (params.logAreaBytes != cfg.logging.logAreaBytes)
-        fatal("FullSystem: workload log area of ", params.logAreaBytes,
-              " bytes does not match config logging.logAreaBytes=",
-              cfg.logging.logAreaBytes);
-    _cfg.cores = params.threads;    // one trace per core
-
-    TraceBundleKey key;
-    key.kind = kind;
-    key.scheme = _cfg.logging.scheme;
-    key.params = params;
-    key.llOpts = extras.ll;
-    key.gen = extras.gen;
-    // The checker needs the write history to classify store kinds for
-    // the software schemes' LogBeforeData rule.
-    auto bundle =
-        TraceBundle::build(key, /*want_history=*/cfg.analysis.check);
-
-    // The bundle is private to this system, so its heap can be mutated
-    // in place — exactly the pre-bundle behavior, with no image copy.
-    _heap = bundle->heap;
-    _bundle = std::move(bundle);
-    wire();
-}
-
 FullSystem::FullSystem(const SystemConfig &cfg,
                        std::shared_ptr<const TraceBundle> bundle)
     : _cfg(cfg)

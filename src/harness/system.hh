@@ -5,12 +5,10 @@
  * This is the top-level object examples, tests, and benches drive.
  *
  * Trace state (per-thread micro-op streams, the initial heap image,
- * log-area bounds) lives in a TraceBundle. The classic constructor
- * builds a private bundle by executing the workload functionally; the
- * bundle constructor wires the machine from a prebuilt shared bundle
- * (TraceCache or a .ptrace file) without re-executing anything —
- * results are bit-identical either way because both paths run the same
- * wiring code over the same bundle contents.
+ * log-area bounds) lives in a TraceBundle. A machine is always wired
+ * from one (TraceBundle::build, TraceCache::get or a .ptrace file)
+ * without re-executing the workload; each machine copies the bundle's
+ * heap, whose pages are shared copy-on-write.
  */
 
 #ifndef PROTEUS_HARNESS_SYSTEM_HH
@@ -63,19 +61,14 @@ struct RunResult
 class FullSystem
 {
   public:
-    /** Build the trace state privately and wire the machine (the
-     *  classic path). */
-    FullSystem(const SystemConfig &cfg, WorkloadKind kind,
-               const WorkloadParams &params,
-               const WorkloadExtras &extras = {});
-
     /**
-     * Wire the machine from a prebuilt bundle (TraceCache::get or
-     * loadTraceBundle). The bundle stays immutable: this system gets a
-     * private copy of the heap images, so any number of systems —
-     * across schemes' timing configs, crash points, or parallel-runner
-     * workers — can share one bundle. cfg.logging.scheme must match
-     * the bundle's scheme.
+     * Wire the machine from a prebuilt bundle (TraceBundle::build,
+     * TraceCache::get or loadTraceBundle). The bundle stays immutable:
+     * this system gets a private copy of the heap images, so any
+     * number of systems — across schemes' timing configs, crash
+     * points, or parallel-runner workers — can share one bundle.
+     * cfg.logging.scheme and cfg.logging.logAreaBytes must match the
+     * bundle's; its threads must fit in cfg.cores.
      */
     FullSystem(const SystemConfig &cfg,
                std::shared_ptr<const TraceBundle> bundle);

@@ -16,8 +16,8 @@
  * which is the same for every scheme — and records only the SimOps.
  *
  * Bundles come from three places:
- *  - FullSystem's classic constructor builds a private one (the
- *    uncached path — behavior and results are bit-identical to before),
+ *  - TraceBundle::build() builds one for a single caller (a one-off run
+ *    or a crash demo that wires two machines from it),
  *  - TraceCache::get() builds one per key and shares it process-wide,
  *    forking the cache's one snapshot per scheme-free key,
  *  - loadTraceBundle() deserializes one from a .ptrace file recorded
@@ -47,9 +47,9 @@ struct TraceBundleKey
 {
     WorkloadKind kind = WorkloadKind::Queue;
     LogScheme scheme = LogScheme::Proteus;
-    WorkloadParams params;
-    LinkedListOptions llOpts;
-    wlgen::GenSpec gen;
+    WorkloadParams params{};
+    LinkedListOptions llOpts{};
+    wlgen::GenSpec gen{};
 
     WorkloadExtras extras() const { return {llOpts, gen}; }
 
@@ -88,8 +88,7 @@ class TraceBundle
      * image is the post-setup (fast-forwarded) durable state, the
      * volatile image the post-recording final state, and the allocator
      * frontiers are live so wiring can still carve ATOM log areas.
-     * FullSystems wired from a shared bundle copy this heap; they never
-     * mutate it in place.
+     * FullSystems copy this heap; they never mutate it in place.
      */
     std::shared_ptr<PersistentHeap> heap;
 

@@ -15,10 +15,9 @@
  * bundle build forks it. setup() therefore runs once per snapshot key
  * per cache lifetime.
  *
- * Cached and uncached runs are bit-identical: both paths execute the
- * same TraceBundle::build over a fork of the same post-setup state and
- * the same FullSystem wiring; the only difference is how many times
- * the functional workload executes.
+ * A cached bundle gives the same results as a fresh TraceBundle::build
+ * of its key: both fork the same post-setup state, and every machine
+ * wired from a bundle copies its heap.
  */
 
 #ifndef PROTEUS_HARNESS_TRACE_CACHE_HH

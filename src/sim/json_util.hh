@@ -1,8 +1,8 @@
 /**
  * @file
  * Minimal JSON emission helpers shared by every machine-readable dump
- * (stats registry, interval sampler, trace-event sink, result rows).
- * Only writing is supported; the simulator never parses JSON.
+ * (stats registry, interval sampler, trace-event sink, result rows,
+ * checker verdicts). Reading is obs/json_reader's job.
  */
 
 #ifndef PROTEUS_SIM_JSON_UTIL_HH

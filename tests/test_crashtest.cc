@@ -217,7 +217,9 @@ TEST(CrashInjection, CrashNowDropsEveryPendingEvent)
     params.initScale = 100;
     params.seed = 11;
 
-    FullSystem sys(cfg, WorkloadKind::Queue, params);
+    FullSystem sys(cfg, TraceBundle::build({.kind = WorkloadKind::Queue,
+                                            .scheme = LogScheme::Proteus,
+                                            .params = params}));
     sys.runFor(2000);
     ASSERT_FALSE(sys.done());
 

@@ -109,7 +109,10 @@ TEST(IntervalStats, FullSystemDeltasSumToTotals)
     params.initScale = 100;
     params.seed = 3;
 
-    FullSystem system(cfg, WorkloadKind::Queue, params);
+    FullSystem system(cfg,
+                      TraceBundle::build({.kind = WorkloadKind::Queue,
+                                          .scheme = cfg.logging.scheme,
+                                          .params = params}));
     const RunResult r = system.run();
     ASSERT_TRUE(r.finished);
 

@@ -82,14 +82,16 @@ TEST_P(CrashRecovery, RecoversToAConsistentCommittedPrefix)
     cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
 
     const WorkloadParams params = crashParams(1);
-    FullSystem system(cfg, kind, params);
+    const auto bundle = TraceBundle::build(
+        {.kind = kind, .scheme = scheme, .params = params});
+    FullSystem system(cfg, bundle);
 
     // Find the total runtime once, then crash partway through it.
     const RunResult full = system.run(500'000'000ull);
     ASSERT_TRUE(full.finished);
     const Tick crash_at = full.cycles * crash_percent / 100;
 
-    FullSystem crashed(cfg, kind, params);
+    FullSystem crashed(cfg, bundle);
     crashed.runFor(crash_at);
     MemoryImage image = crashed.crashImage();
     recoverAll(crashed, image);
@@ -146,12 +148,14 @@ TEST_P(CrashRecoveryMulti, InvariantsHoldAfterMultiThreadCrash)
     SystemConfig cfg = baselineConfig();
     cfg.logging.scheme = scheme;
 
-    const WorkloadParams params = crashParams(4);
-    FullSystem system(cfg, WorkloadKind::AvlTree, params);
+    const auto bundle = TraceBundle::build({.kind = WorkloadKind::AvlTree,
+                                            .scheme = scheme,
+                                            .params = crashParams(4)});
+    FullSystem system(cfg, bundle);
     const RunResult full = system.run(500'000'000ull);
     ASSERT_TRUE(full.finished);
 
-    FullSystem crashed(cfg, WorkloadKind::AvlTree, params);
+    FullSystem crashed(cfg, bundle);
     crashed.runFor(full.cycles * crash_percent / 100);
     MemoryImage image = crashed.crashImage();
     recoverAll(crashed, image);
@@ -463,7 +467,10 @@ TEST(CrashAtCommitPoint, DurableCommitCycleKeepsTheTransaction)
     cfg.logging.scheme = LogScheme::Proteus;
 
     const WorkloadParams params = crashParams(1);
-    FullSystem reference(cfg, WorkloadKind::Queue, params);
+    const auto bundle = TraceBundle::build({.kind = WorkloadKind::Queue,
+                                            .scheme = LogScheme::Proteus,
+                                            .params = params});
+    FullSystem reference(cfg, bundle);
     const RunResult full = reference.run(500'000'000ull);
     ASSERT_TRUE(full.finished);
     const auto &commits = reference.core(0).commitCycles();
@@ -472,7 +479,7 @@ TEST(CrashAtCommitPoint, DurableCommitCycleKeepsTheTransaction)
     // runFor(T + 1) executes cycles 0..T, including the retire at T.
     const Tick crash_at = commits[k] + 1;
 
-    FullSystem crashed(cfg, WorkloadKind::Queue, params);
+    FullSystem crashed(cfg, bundle);
     crashed.runFor(crash_at);
     const std::uint64_t committed =
         crashed.core(0).committedTxs().size();

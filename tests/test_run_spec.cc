@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -198,7 +199,6 @@ TEST(RunSpec, FullSystemRejectsADriftedLogArea)
     SystemConfig cfg = spec.config();
     cfg.logging.logAreaBytes = 4096;
     const TraceBundleKey key = spec.key();
-    EXPECT_THROW(FullSystem(cfg, key.kind, key.params), FatalError);
     EXPECT_THROW(FullSystem(cfg, TraceBundle::build(key)), FatalError);
 }
 
@@ -211,10 +211,14 @@ TEST(RunSpec, SetLogAreaReachesTheTrace)
                                 "1", "--scale", "2000", "--init-scale",
                                 "100", "--set",
                                 "logging.logAreaBytes=64"});
-    for (bool cached : {true, false}) {
-        opts.traceCache = cached;
+    // Through the trace cache and through a fresh bundle build.
+    const std::function<void()> runs[] = {
+        [&] { runExperiment(opts.spec, opts); },
+        [&] { TraceBundle::build(opts.spec.key()); },
+    };
+    for (const auto &run : runs) {
         try {
-            runExperiment(opts.spec, opts);
+            run();
             ADD_FAILURE() << "64-byte log area did not overflow";
         } catch (const FatalError &e) {
             EXPECT_NE(std::string(e.what()).find("overflowed"),

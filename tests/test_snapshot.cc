@@ -278,19 +278,31 @@ TEST(SnapshotCrash, CrashPointsRunNoSetup)
     opts.workloads = {WorkloadKind::BTree};
     opts.seed = 1;
     opts.autoPoints = 12;
-    for (bool cached : {true, false}) {
-        SCOPED_TRACE(cached ? "cached" : "--no-trace-cache");
-        opts.useTraceCache = cached;
-        TraceCache::global().clear();
-        const std::uint64_t setups0 = Workload::setupCalls();
-        std::ostringstream log;
-        const CrashTestSummary summary = runCrashTests(opts, log);
-        EXPECT_TRUE(summary.ok) << log.str();
-        EXPECT_GT(summary.crashPoints, 2 * 8u);
-        // One setup() per snapshot key (cached) or per pair (uncached);
-        // none per crash point.
-        EXPECT_EQ(Workload::setupCalls() - setups0,
-                  cached ? 1u : opts.schemes.size());
-    }
     TraceCache::global().clear();
+    const std::uint64_t setups0 = Workload::setupCalls();
+    std::ostringstream log;
+    const CrashTestSummary summary = runCrashTests(opts, log);
+    EXPECT_TRUE(summary.ok) << log.str();
+    EXPECT_GT(summary.crashPoints, 2 * 8u);
+    // One setup() for the snapshot key both schemes share; none per
+    // pair or per crash point.
+    EXPECT_EQ(Workload::setupCalls() - setups0, 1u);
+    TraceCache::global().clear();
+}
+
+TEST(SnapshotCrash, SimCrashRunsSetupOnce)
+{
+    // proteus-sim crash wires its measuring run and its crashed run
+    // from one bundle.
+    const RunSpec spec =
+        RunSpec::parse({"HM", "--threads", "2", "--scale", "2000",
+                        "--init-scale", "100"});
+    const std::uint64_t setups0 = Workload::setupCalls();
+    std::ostringstream out;
+    EXPECT_TRUE(crashAndRecover(spec, spec.config(), 50, out))
+        << out.str();
+    EXPECT_EQ(Workload::setupCalls() - setups0, 1u);
+    EXPECT_NE(out.str().find("invariants after recovery: OK"),
+              std::string::npos)
+        << out.str();
 }

@@ -31,6 +31,15 @@ tinyParams()
     return p;
 }
 
+/** The traces of @p kind at @p params under @p cfg's scheme. */
+std::shared_ptr<const TraceBundle>
+bundleFor(const SystemConfig &cfg, WorkloadKind kind,
+          const WorkloadParams &params = tinyParams())
+{
+    return TraceBundle::build(
+        {.kind = kind, .scheme = cfg.logging.scheme, .params = params});
+}
+
 using SchemeWorkload = std::tuple<LogScheme, WorkloadKind>;
 
 class SystemIntegration
@@ -47,7 +56,7 @@ TEST_P(SystemIntegration, RunsToDurableCompletion)
     cfg.logging.scheme = scheme;
     cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
 
-    FullSystem system(cfg, kind, tinyParams());
+    FullSystem system(cfg, bundleFor(cfg, kind));
     const RunResult result = system.run(500'000'000ull);
     ASSERT_TRUE(result.finished);
     EXPECT_GT(result.retiredOps, 0u);
@@ -94,7 +103,7 @@ TEST(SystemIntegration2, CpiStackSumsToCoreCyclesUnderEveryScheme)
         SystemConfig cfg = baselineConfig();
         cfg.logging.scheme = scheme;
         cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
-        FullSystem system(cfg, WorkloadKind::Queue, tinyParams());
+        FullSystem system(cfg, bundleFor(cfg, WorkloadKind::Queue));
         const RunResult result = system.run(500'000'000ull);
         ASSERT_TRUE(result.finished) << toString(scheme);
 
@@ -116,7 +125,7 @@ TEST(SystemIntegration2, ProteusDropsMostLogWrites)
 {
     SystemConfig cfg = baselineConfig();
     cfg.logging.scheme = LogScheme::Proteus;
-    FullSystem system(cfg, WorkloadKind::HashMap, tinyParams());
+    FullSystem system(cfg, bundleFor(cfg, WorkloadKind::HashMap));
     const RunResult result = system.run(500'000'000ull);
     ASSERT_TRUE(result.finished);
     EXPECT_GT(result.logWritesDropped, 0u);
@@ -128,7 +137,7 @@ TEST(SystemIntegration2, LltMissRateInPaperBallpark)
     cfg.logging.scheme = LogScheme::Proteus;
     WorkloadParams p = tinyParams();
     p.scale = 200;
-    FullSystem system(cfg, WorkloadKind::Queue, p);
+    FullSystem system(cfg, bundleFor(cfg, WorkloadKind::Queue, p));
     const RunResult result = system.run(500'000'000ull);
     ASSERT_TRUE(result.finished);
     // Table 4 reports 22.5%-51.6%; allow generous slack.
@@ -138,15 +147,15 @@ TEST(SystemIntegration2, LltMissRateInPaperBallpark)
 
 TEST(SystemIntegration2, SlowNvmIsSlower)
 {
-    WorkloadParams p = tinyParams();
     SystemConfig fast = baselineConfig();
     fast.logging.scheme = LogScheme::Proteus;
-    FullSystem fast_sys(fast, WorkloadKind::Queue, p);
+    const auto bundle = bundleFor(fast, WorkloadKind::Queue);
+    FullSystem fast_sys(fast, bundle);
     const auto fast_result = fast_sys.run(500'000'000ull);
 
     SystemConfig slow = slowNvmConfig();
     slow.logging.scheme = LogScheme::Proteus;
-    FullSystem slow_sys(slow, WorkloadKind::Queue, p);
+    FullSystem slow_sys(slow, bundle);
     const auto slow_result = slow_sys.run(500'000'000ull);
 
     ASSERT_TRUE(fast_result.finished && slow_result.finished);
@@ -159,5 +168,6 @@ TEST(SystemIntegration2, ThreadCountAboveCoresIsFatal)
     cfg.cores = 1;
     WorkloadParams p = tinyParams();
     p.threads = 2;
-    EXPECT_THROW(FullSystem(cfg, WorkloadKind::Queue, p), FatalError);
+    EXPECT_THROW(FullSystem(cfg, bundleFor(cfg, WorkloadKind::Queue, p)),
+                 FatalError);
 }

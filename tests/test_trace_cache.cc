@@ -1,9 +1,10 @@
 /**
  * @file
  * TraceCache behavior (build-once sharing, history upgrade, concurrent
- * lookups) and the tentpole's core guarantee: cached and uncached
- * execution paths produce bit-identical results, from single
- * experiments up to whole crashtest campaigns (JSON byte-for-byte).
+ * lookups) and its core guarantee: a shared bundle leaks no state, so
+ * a cold cache, a warm hit and a fresh build give bit-identical
+ * results, from single experiments up to whole crashtest campaigns
+ * (JSON byte-for-byte).
  */
 
 #include <gtest/gtest.h>
@@ -114,34 +115,52 @@ TEST(TraceCache, ConcurrentLookupsBuildOnce)
 
 TEST(TraceCache, CachedExperimentMatchesUncached)
 {
+    // A cold cache, a warm hit and a fresh build (which forks a private
+    // snapshot) give the same run: sharing a bundle leaks no state from
+    // one machine into the next.
     BenchOptions opts;
     opts.spec.scale = 2000;
     opts.spec.initScale = 200;
     opts.spec.threads = 2;
 
+    const auto expectSame = [](const RunResult &a, const RunResult &b) {
+        EXPECT_EQ(a.cycles, b.cycles);
+        EXPECT_EQ(a.retiredOps, b.retiredOps);
+        EXPECT_EQ(a.nvmWrites, b.nvmWrites);
+        EXPECT_EQ(a.nvmReads, b.nvmReads);
+        EXPECT_EQ(a.committedTxs, b.committedTxs);
+        EXPECT_EQ(a.logWritesDropped, b.logWritesDropped);
+        EXPECT_EQ(a.frontendStallCycles, b.frontendStallCycles);
+        EXPECT_EQ(a.lltMissRate, b.lltMissRate);
+    };
+    TraceCache &cache = TraceCache::global();
     for (const LogScheme scheme :
          {LogScheme::PMEM, LogScheme::ATOM, LogScheme::Proteus}) {
         SCOPED_TRACE(toString(scheme));
         const RunSpec spec = opts.spec.with(scheme, WorkloadKind::Queue);
-        opts.traceCache = true;
-        const RunResult cached = runExperiment(spec, opts);
-        opts.traceCache = false;
-        const RunResult uncached = runExperiment(spec, opts);
+        cache.clear();
+        const std::uint64_t misses0 = cache.misses();
+        const RunResult cold = runExperiment(spec, opts);
+        EXPECT_EQ(cache.misses() - misses0, 1u);
+        const std::uint64_t hits0 = cache.hits();
+        const RunResult warm = runExperiment(spec, opts);
+        EXPECT_EQ(cache.hits() - hits0, 1u);
+        const RunResult fresh =
+            FullSystem(opts.makeConfig(spec), TraceBundle::build(spec.key()))
+                .run();
 
-        EXPECT_EQ(cached.cycles, uncached.cycles);
-        EXPECT_EQ(cached.retiredOps, uncached.retiredOps);
-        EXPECT_EQ(cached.nvmWrites, uncached.nvmWrites);
-        EXPECT_EQ(cached.nvmReads, uncached.nvmReads);
-        EXPECT_EQ(cached.committedTxs, uncached.committedTxs);
-        EXPECT_EQ(cached.logWritesDropped, uncached.logWritesDropped);
-        EXPECT_EQ(cached.frontendStallCycles,
-                  uncached.frontendStallCycles);
-        EXPECT_EQ(cached.lltMissRate, uncached.lltMissRate);
+        ASSERT_TRUE(cold.finished);
+        expectSame(cold, warm);
+        expectSame(warm, fresh);
     }
+    cache.clear();
 }
 
 TEST(TraceCache, CrashtestJsonBitIdenticalCachedVsUncached)
 {
+    // The same campaign from a cold cache and again from the warm one
+    // it left behind: the second builds nothing and writes the same
+    // bytes.
     CrashTestOptions opts;
     opts.schemes = {LogScheme::Proteus, LogScheme::PMEM,
                     LogScheme::ATOM};
@@ -150,28 +169,29 @@ TEST(TraceCache, CrashtestJsonBitIdenticalCachedVsUncached)
     opts.initScale = 200;
     opts.autoPoints = 6;
 
-    const std::string cached_path =
-        testing::TempDir() + "ct_cached.json";
-    const std::string uncached_path =
-        testing::TempDir() + "ct_uncached.json";
+    const std::string cold_path = testing::TempDir() + "ct_cold.json";
+    const std::string warm_path = testing::TempDir() + "ct_warm.json";
 
+    TraceCache &cache = TraceCache::global();
+    cache.clear();
     std::ostringstream sink;
-    opts.useTraceCache = true;
-    opts.jsonPath = cached_path;
-    const CrashTestSummary cached = runCrashTests(opts, sink);
-    opts.useTraceCache = false;
-    opts.jsonPath = uncached_path;
-    const CrashTestSummary uncached = runCrashTests(opts, sink);
+    opts.jsonPath = cold_path;
+    const CrashTestSummary cold = runCrashTests(opts, sink);
+    const std::uint64_t misses = cache.misses();
+    opts.jsonPath = warm_path;
+    const CrashTestSummary warm = runCrashTests(opts, sink);
+    EXPECT_EQ(cache.misses(), misses);
 
-    EXPECT_TRUE(cached.ok);
-    EXPECT_TRUE(uncached.ok);
-    EXPECT_EQ(cached.crashPoints, uncached.crashPoints);
+    EXPECT_TRUE(cold.ok);
+    EXPECT_TRUE(warm.ok);
+    EXPECT_EQ(cold.crashPoints, warm.crashPoints);
 
-    const std::string a = slurp(cached_path);
-    const std::string b = slurp(uncached_path);
+    const std::string a = slurp(cold_path);
+    const std::string b = slurp(warm_path);
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);    // byte-for-byte identical rows
 
-    std::remove(cached_path.c_str());
-    std::remove(uncached_path.c_str());
+    std::remove(cold_path.c_str());
+    std::remove(warm_path.c_str());
+    cache.clear();
 }

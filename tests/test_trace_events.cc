@@ -160,7 +160,10 @@ TEST(TraceEvents, FullSystemFileIsValidAndCycleOrderedPerTrack)
     params.seed = 3;
 
     {
-        FullSystem system(cfg, WorkloadKind::Queue, params);
+        FullSystem system(
+            cfg, TraceBundle::build({.kind = WorkloadKind::Queue,
+                                     .scheme = cfg.logging.scheme,
+                                     .params = params}));
         ASSERT_TRUE(system.run().finished);
         ASSERT_NE(system.traceSink(), nullptr);
         EXPECT_GT(system.traceSink()->size(), 0u);

@@ -160,12 +160,12 @@ TEST(TraceIo, LoadedBundleRunsBitIdentical)
         cfg.logging.scheme = scheme;
         cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
 
-        // Classic path: build the traces in-process.
-        FullSystem direct(cfg, key.kind, key.params);
+        // In-process bundle.
+        const auto built = TraceBundle::build(key);
+        FullSystem direct(cfg, built);
         const RunResult want = direct.run();
 
         // Snapshot path: save, load, wire from the file.
-        const auto built = TraceBundle::build(key);
         const std::string path = tempPath(
             std::string("run_") +
             std::to_string(static_cast<int>(scheme)) + ".ptrace");

@@ -58,8 +58,6 @@ usage()
         << "  --check            arm the persistency-order checker on "
         << "each pair's\n"
         << "                     reference run (see proteus-check)\n"
-        << "  --no-trace-cache   rebuild traces per run instead of "
-        << "sharing cached bundles\n"
         << "  --no-cycle-skip    tick every cycle instead of skipping "
         << "quiescent spans (same results, slower)\n"
         << "  --break-recovery   testing hook: skip recovery (expect "

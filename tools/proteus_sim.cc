@@ -13,7 +13,6 @@
  */
 
 #include <iostream>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -81,7 +80,7 @@ extractExtras(std::vector<char *> &args)
         };
         if (arg == "--at" && i + 1 < args.size()) {
             extras.crashPercent = static_cast<unsigned>(
-                std::stoul(args[i + 1]));
+                Arg{arg, args[i + 1]}.number(0, 100));
             take_value(2);
         } else if (arg == "--stats") {
             extras.stats = true;
@@ -175,22 +174,21 @@ cmdRun(const std::string &path, std::shared_ptr<const TraceBundle> bundle,
         cfg.analysis.repro = bundle ? checkReplayLine(path, spec)
                                     : checkReproLine(spec);
     }
-    const TraceBundleKey key = spec.key();
-    std::optional<FullSystem> system;
     if (bundle) {
-        std::cout << "replaying " << path << " (" << key.describe()
-                  << ")...\n";
-        system.emplace(cfg, std::move(bundle));
+        std::cout << "replaying " << path << " ("
+                  << bundle->key.describe() << ")...\n";
     } else {
         std::cout << "running " << toString(spec.kind) << " under "
                   << toString(spec.scheme) << " (" << spec.threads
                   << " cores)...\n";
-        system.emplace(cfg, key.kind, key.params, key.extras());
+        // Checked runs record the write history, as runExperiment's do.
+        bundle = TraceBundle::build(spec.key(), /*want_history=*/opts.check);
     }
-    const RunResult r = system->run();
+    FullSystem system(cfg, std::move(bundle));
+    const RunResult r = system.run();
     printSummary(r);
-    std::cout << "kernel steps:       " << system->sim().kernelSteps()
-              << " (" << system->sim().skippedCycles()
+    std::cout << "kernel steps:       " << system.sim().kernelSteps()
+              << " (" << system.sim().skippedCycles()
               << " cycles skipped)\n";
     if (!opts.txStats.empty() && r.txStats)
         obs::writeTxStatsFile(opts.txStats, {makeTxStatsRow(spec, r)});
@@ -206,16 +204,16 @@ cmdRun(const std::string &path, std::shared_ptr<const TraceBundle> bundle,
     // invariants are checked only for in-process runs; proteus-trace
     // verify covers a file's integrity instead.
     std::string err;
-    if (system->hasWorkload()) {
-        err = system->workload().checkInvariants(
-            system->heap().volatileImage());
+    if (system.hasWorkload()) {
+        err = system.workload().checkInvariants(
+            system.heap().volatileImage());
         std::cout << "invariants:         "
                   << (err.empty() ? "OK" : err) << "\n";
     }
     if (extras.json)
-        system->sim().statsRegistry().dumpJson(std::cout);
+        system.sim().statsRegistry().dumpJson(std::cout);
     else if (extras.stats)
-        system->sim().statsRegistry().dump(std::cout);
+        system.sim().statsRegistry().dump(std::cout);
     return r.finished && err.empty() && check_ok ? 0 : 1;
 }
 
@@ -224,20 +222,13 @@ cmdMatrix(const BenchOptions &opts)
 {
     const std::vector<LogScheme> schemes = allLogSchemes();
     const auto workloads = allPaperWorkloads();
+    const std::vector<SimJob> jobs =
+        matrixJobs(opts.spec, schemes, workloads);
 
-    std::vector<SimJob> jobs;
-    for (LogScheme s : schemes) {
-        for (WorkloadKind w : workloads)
-            jobs.push_back(SimJob{opts.spec.with(s, w),
-                                  std::string(toString(s)) + " / " +
-                                      toString(w)});
-    }
-
-    ParallelRunner runner(opts.jobs);
     std::cout << "running " << jobs.size() << " simulations on "
-              << runner.workers() << " host thread(s)...\n";
-    ProgressReporter progress(std::cerr);
-    const auto results = runner.run(jobs, opts, &progress);
+              << ParallelRunner(opts.jobs).workers()
+              << " host thread(s)...\n";
+    const auto results = runBatch(opts, jobs);
 
     std::vector<std::string> cols{"scheme"};
     for (WorkloadKind w : workloads)
@@ -246,73 +237,18 @@ cmdMatrix(const BenchOptions &opts)
     std::cout << "\ncycles per (scheme, workload)\n";
     table.printHeader(std::cout);
 
-    std::vector<JsonResultRow> rows;
-    std::vector<obs::TxStatsRow> tx_rows;
     std::size_t i = 0;
     bool all_finished = true;
     for (LogScheme s : schemes) {
         std::vector<std::string> cells{toString(s)};
-        for (WorkloadKind w : workloads) {
-            const SimJobResult &r = results[i++];
-            cells.push_back(std::to_string(r.result.cycles));
-            all_finished = all_finished && r.result.finished;
-            rows.push_back(JsonResultRow{toString(s), toString(w),
-                                         r.result, r.wallMs});
-            if (!opts.txStats.empty())
-                tx_rows.push_back(
-                    makeTxStatsRow(opts.spec.with(s, w), r.result));
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            const RunResult &r = results[i++].result;
+            cells.push_back(std::to_string(r.cycles));
+            all_finished = all_finished && r.finished;
         }
         table.printRow(std::cout, cells);
     }
-    if (!opts.jsonPath.empty())
-        writeJsonResults(opts.jsonPath, rows);
-    if (!opts.txStats.empty())
-        obs::writeTxStatsFile(opts.txStats, tx_rows);
     return all_finished ? 0 : 1;
-}
-
-int
-cmdCrash(const CliExtras &extras, const BenchOptions &opts)
-{
-    const RunSpec &spec = opts.spec;
-    const SystemConfig cfg = opts.makeConfig(spec);
-    if (spec.scheme == LogScheme::PMEMNoLog)
-        fatal("pmem+nolog is not failure-safe; nothing to recover");
-    const TraceBundleKey key = spec.key();
-
-    std::cout << "measuring the full run...\n";
-    FullSystem full(cfg, key.kind, key.params, key.extras());
-    const RunResult complete = full.run();
-    const Tick crash_at =
-        complete.cycles * extras.crashPercent / 100;
-
-    std::cout << "crashing at cycle " << crash_at << " ("
-              << extras.crashPercent << "% of " << complete.cycles
-              << ")...\n";
-    FullSystem sys(cfg, key.kind, key.params, key.extras());
-    sys.runFor(crash_at);
-    MemoryImage image = sys.crashImage();
-
-    std::uint64_t committed = 0;
-    for (unsigned t = 0; t < sys.coreCount(); ++t)
-        committed += sys.core(t).committedTxs().size();
-    std::cout << "committed transactions at crash: " << committed
-              << "\n";
-
-    const std::vector<RecoveryResult> recovered =
-        recoverAllThreads(sys, image);
-    for (std::size_t t = 0; t < recovered.size(); ++t) {
-        std::cout << "  thread " << t << ": "
-                  << (recovered[t].didUndo ? "rolled back one transaction"
-                                           : "nothing in flight")
-                  << " (" << recovered[t].entriesApplied
-                  << " entries)\n";
-    }
-
-    const std::string err = sys.workload().checkInvariants(image);
-    std::cout << "invariants after recovery: "
-              << (err.empty() ? "OK" : err) << "\n";
-    return err.empty() ? 0 : 1;
 }
 
 } // namespace
@@ -369,8 +305,12 @@ main(int argc, char **argv)
             return cmdRun(argv[2], std::move(bundle), extras, opts);
         }
         opts.spec.kind = parseWorkload(argv[2]);
-        return command == "run" ? cmdRun("", nullptr, extras, opts)
-                                : cmdCrash(extras, opts);
+        if (command == "run")
+            return cmdRun("", nullptr, extras, opts);
+        return crashAndRecover(opts.spec, opts.makeConfig(opts.spec),
+                               extras.crashPercent, std::cout)
+                   ? 0
+                   : 1;
     } catch (const FatalError &e) {
         std::cerr << e.what() << "\n";
         return 1;
