@@ -46,19 +46,6 @@ NvmTiming::rowIndex(Addr addr) const
                    _cfg.banks);
 }
 
-bool
-NvmTiming::bankReady(Addr addr, Tick now) const
-{
-    return _banks[bankIndex(addr)].readyAt <= now;
-}
-
-bool
-NvmTiming::rowHit(Addr addr) const
-{
-    const Bank &bank = _banks[bankIndex(addr)];
-    return bank.rowOpen && bank.openRow == rowIndex(addr);
-}
-
 Tick
 NvmTiming::reserveActivateSlot(Tick earliest)
 {
@@ -105,10 +92,10 @@ NvmTiming::reserveActivateSlot(Tick earliest)
 }
 
 Tick
-NvmTiming::issue(Addr addr, bool is_write, Tick now)
+NvmTiming::issue(const Loc &loc, bool is_write, Tick now)
 {
-    Bank &bank = _banks[bankIndex(addr)];
-    const std::uint64_t row = rowIndex(addr);
+    Bank &bank = _banks[loc.bank];
+    const std::uint64_t row = loc.row;
 
     if (bank.readyAt > now)
         panic("NvmTiming::issue on a busy bank");

@@ -30,32 +30,72 @@ class NvmTiming
     NvmTiming(const MemTimingConfig &cfg, stats::StatRegistry &stats,
               const std::string &name);
 
+    /** Where an address lives: its bank and its row within the bank.
+     *  Computing one costs three 64-bit divisions, so the memory
+     *  controller locates each request once, when it is queued. */
+    struct Loc
+    {
+        unsigned bank = 0;
+        std::uint64_t row = 0;
+    };
+
+    /** @return the bank and row servicing @p addr. */
+    Loc
+    locate(Addr addr) const
+    {
+        return Loc{bankIndex(addr), rowIndex(addr)};
+    }
+
     /** @return bank index servicing @p addr. */
     unsigned bankIndex(Addr addr) const;
 
     /** @return row index within the bank for @p addr. */
     std::uint64_t rowIndex(Addr addr) const;
 
-    /** @return true if the bank can accept a command at @p now. */
-    bool bankReady(Addr addr, Tick now) const;
-
-    /** @return the tick at which @p addr's bank accepts its next
-     *  command (quiescence wake hints). */
+    /** @return the tick at which @p loc's bank accepts its next
+     *  command. It changes only when a command issues to that bank,
+     *  which needs the bank to be ready. */
     Tick
-    bankReadyAt(Addr addr) const
+    bankReadyAt(const Loc &loc) const
     {
-        return _banks[bankIndex(addr)].readyAt;
+        return _banks[loc.bank].readyAt;
     }
 
-    /** @return true if @p addr hits the currently open row. */
-    bool rowHit(Addr addr) const;
+    /** @return true if the bank can accept a command at @p now. */
+    bool
+    bankReady(const Loc &loc, Tick now) const
+    {
+        return bankReadyAt(loc) <= now;
+    }
+
+    bool
+    bankReady(Addr addr, Tick now) const
+    {
+        return bankReady(locate(addr), now);
+    }
+
+    /** @return true if @p loc hits its bank's open row. */
+    bool
+    rowHit(const Loc &loc) const
+    {
+        const Bank &bank = _banks[loc.bank];
+        return bank.rowOpen && bank.openRow == loc.row;
+    }
+
+    bool rowHit(Addr addr) const { return rowHit(locate(addr)); }
 
     /**
      * Issue one 64B access. The bank must be ready (bankReady). Returns
      * the tick at which the access completes: data returned for reads,
      * write recovery done for writes.
      */
-    Tick issue(Addr addr, bool is_write, Tick now);
+    Tick issue(const Loc &loc, bool is_write, Tick now);
+
+    Tick
+    issue(Addr addr, bool is_write, Tick now)
+    {
+        return issue(locate(addr), is_write, now);
+    }
 
     /** Totals used by the Figure 8 write-count study. */
     std::uint64_t totalWrites() const;

@@ -123,7 +123,8 @@ MemCtrl::read(Addr addr, std::function<void()> on_complete)
             return;
         }
     }
-    _readQ.push_back(PendingRead{block, std::move(on_complete)});
+    _readQ.push_back(
+        PendingRead{block, _dram.locate(block), std::move(on_complete)});
 }
 
 bool
@@ -145,6 +146,7 @@ MemCtrl::write(const WriteRequest &req)
 
     QueuedWrite qw;
     qw.req = req;
+    qw.loc = _dram.locate(req.addr);
     qw.seq = _acceptSeq++;
     qw.acceptedAt = _sim.now();
 
@@ -189,7 +191,7 @@ MemCtrl::write(const WriteRequest &req)
     }
 
     if (to_lpq) {
-        _lpq.push_back(std::move(qw));
+        _lpq.push(std::move(qw));
         return;
     }
     if (combined) {
@@ -210,7 +212,7 @@ MemCtrl::write(const WriteRequest &req)
     }
     if (req.kind == WriteKind::AtomLog)
         ++_atomLogsQueued;
-    _wpq.push_back(std::move(qw));
+    _wpq.push(std::move(qw));
 }
 
 void
@@ -292,19 +294,13 @@ MemCtrl::txEnd(CoreId core, TxId tx)
         }
 
         if (_logWriteRemoval) {
-            std::uint64_t dropped = 0;
-            std::deque<QueuedWrite> kept;
-            for (std::size_t i = 0; i < _lpq.size(); ++i) {
-                const QueuedWrite &w = _lpq[i];
-                if (i != latest && w.req.core == core &&
-                    w.req.txId == tx && !w.marker) {
-                    ++_logWritesDropped;
-                    ++dropped;
-                } else {
-                    kept.push_back(_lpq[i]);
-                }
-            }
-            _lpq.swap(kept);
+            // The latest entry is now the marker, so this spares it.
+            const std::uint64_t dropped =
+                _lpq.eraseIf([core, tx](const QueuedWrite &w) {
+                    return w.req.core == core && w.req.txId == tx &&
+                           !w.marker;
+                });
+            _logWritesDropped += static_cast<double>(dropped);
             if (_events && dropped) {
                 _events->post({.kind = EventKind::FlashClear, .core = core,
                                .tx = tx, .at = _sim.now(), .count = dropped});
@@ -334,10 +330,11 @@ MemCtrl::txEnd(CoreId core, TxId tx)
             req.data = rec.toBytes();
             QueuedWrite qw;
             qw.req = req;
+            qw.loc = _dram.locate(req.addr);
             qw.seq = _acceptSeq++;
             qw.marker = true;
             ++_markerWrites;
-            _lpq.push_back(std::move(qw));
+            _lpq.push(std::move(qw));
         } else {
             // Extremely rare; apply directly and charge a write. If the
             // entry's own array write is still in flight, its completion
@@ -548,8 +545,10 @@ MemCtrl::flushCoreLogs(CoreId core, std::function<void()> on_done)
 {
     _poked = true;
     for (QueuedWrite &w : _lpq) {
-        if (w.req.core == core)
+        if (w.req.core == core) {
             w.forced = true;
+            _lpqMayHoldForced = true;
+        }
     }
     ensureCore(core);
     if (on_done) {
@@ -588,43 +587,56 @@ MemCtrl::applyBatteryDrain(MemoryImage &image) const
 }
 
 std::size_t
-MemCtrl::pickWriteCandidate(const std::deque<QueuedWrite> &queue,
-                            Tick now, bool skip_markers) const
+MemCtrl::pickWriteCandidate(WriteQueue &queue, Tick now, bool skip_markers)
 {
+    // Every scanned entry's bank is still busy (DESIGN.md §5.15).
+    if (now < queue.busyUntil())
+        return npos;
+    bool any_ready = false;
+    Tick earliest = maxTick;
+    std::size_t hit = npos;
     std::size_t fallback = npos;
     const std::size_t depth = std::min(queue.size(), scanLimit);
-    // First preference: forced entries (context switch flushes).
     for (std::size_t i = 0; i < depth; ++i) {
         const QueuedWrite &w = queue[i];
-        if (w.forced && _dram.bankReady(w.req.addr, now))
+        const Tick ready = _dram.bankReadyAt(w.loc);
+        if (ready > now) {
+            earliest = std::min(earliest, ready);
+            continue;
+        }
+        any_ready = true;
+        // First preference: forced entries (context switch flushes).
+        if (w.forced)
             return i;
-    }
-    // Row-conflict writes commit a bank to a long NVM activate that
-    // pending reads then wait behind; defer them until the queue is
-    // under real pressure (conflict-averse write drain).
-    const bool allow_conflicts =
-        !_drainWaiters.empty() ||
-        (!queue.empty() &&
-         now > queue.front().acceptedAt + agedWriteTicks) ||
-        queue.size() + _inflightWrites + _inflightLogs >=
-            (3 * _cfg.memCtrl.wpqEntries) / 4;
-    for (std::size_t i = 0; i < depth; ++i) {
-        const QueuedWrite &w = queue[i];
         if (skip_markers && w.marker)
             continue;
-        if (!_dram.bankReady(w.req.addr, now))
-            continue;
-        if (_dram.rowHit(w.req.addr))
-            return i;
-        if (fallback == npos)
+        if (hit == npos && _dram.rowHit(w.loc))
+            hit = i;
+        else if (fallback == npos)
             fallback = i;
     }
-    return allow_conflicts ? fallback : npos;
+    if (hit != npos)
+        return hit;
+    if (fallback != npos) {
+        // Row-conflict writes commit a bank to a long NVM activate that
+        // pending reads then wait behind; defer them until the queue is
+        // under real pressure (conflict-averse write drain).
+        const bool allow_conflicts =
+            !_drainWaiters.empty() ||
+            now > queue.front().acceptedAt + agedWriteTicks ||
+            queue.size() + _inflightWrites + _inflightLogs >=
+                (3 * _cfg.memCtrl.wpqEntries) / 4;
+        return allow_conflicts ? fallback : npos;
+    }
+    // Flags only narrow a pick that needs a ready bank, so with none
+    // ready no pick succeeds until the earliest of these banks frees.
+    if (!any_ready)
+        queue.armBusyUntil(earliest);
+    return npos;
 }
 
 void
-MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
-                         Tick now)
+MemCtrl::issueWriteEntry(WriteQueue &queue, std::size_t idx, Tick now)
 {
     // The completion closure captures only (addr, seq): the data bytes
     // already live in _inflightData for battery-drain purposes, so
@@ -633,6 +645,7 @@ MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
     // this hot path.
     const QueuedWrite &w = queue[idx];
     const Addr addr = w.req.addr;
+    const NvmTiming::Loc loc = w.loc;
     const std::uint64_t seq = w.seq;
     const bool is_log_queue = (&queue == &_lpq);
     const CoreId req_core = w.req.core;
@@ -658,7 +671,7 @@ MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
     _inflightData.emplace(seq, std::make_pair(addr, w.req.data));
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(idx));
 
-    const Tick done = _dram.issue(addr, true, now);
+    const Tick done = _dram.issue(loc, true, now);
     _sim.events().schedule(done, [this, addr, seq, is_log_queue,
                                   req_core, req_tx, is_marker]() {
         auto dit = _inflightData.find(seq);
@@ -707,9 +720,9 @@ MemCtrl::tryIssueRead(Tick now)
     std::size_t pick = npos;
     const std::size_t depth = std::min(_readQ.size(), scanLimit);
     for (std::size_t i = 0; i < depth; ++i) {
-        if (!_dram.bankReady(_readQ[i].addr, now))
+        if (!_dram.bankReady(_readQ[i].loc, now))
             continue;
-        if (_dram.rowHit(_readQ[i].addr)) {
+        if (_dram.rowHit(_readQ[i].loc)) {
             pick = i;
             break;
         }
@@ -722,7 +735,7 @@ MemCtrl::tryIssueRead(Tick now)
     PendingRead r = std::move(_readQ[pick]);
     _readQ.erase(_readQ.begin() + static_cast<std::ptrdiff_t>(pick));
     ++_inflightReads;
-    const Tick done = _dram.issue(r.addr, false, now);
+    const Tick done = _dram.issue(r.loc, false, now);
     const Addr raddr = r.addr;
     const unsigned attempt = r.attempts;
     auto cb = std::move(r.onComplete);
@@ -751,7 +764,8 @@ MemCtrl::tryIssueRead(Tick now)
                         --_pendingRetries;
                         _poked = true;
                         _readQ.push_back(PendingRead{
-                            raddr, std::move(cb), attempt + 1});
+                            raddr, _dram.locate(raddr), std::move(cb),
+                            attempt + 1});
                     });
                     return;
                 }
@@ -808,13 +822,12 @@ MemCtrl::tryIssueLog(Tick now)
     if (_lpq.empty())
         return false;
 
-    bool forced = false;
-    for (const QueuedWrite &w : _lpq) {
-        if (w.forced) {
-            forced = true;
-            break;
-        }
+    if (_lpqMayHoldForced) {
+        _lpqMayHoldForced = std::any_of(
+            _lpq.begin(), _lpq.end(),
+            [](const QueuedWrite &w) { return w.forced; });
     }
+    const bool forced = _lpqMayHoldForced;
 
     const double threshold = _logWriteRemoval
         ? _cfg.memCtrl.lpqDrainThreshold
@@ -832,9 +845,8 @@ MemCtrl::tryIssueLog(Tick now)
 
     const bool nearly_full =
         _lpq.size() + 1 >= _cfg.memCtrl.lpqEntries;
-    const std::size_t pick =
-        pickWriteCandidate(_lpq, now, !nearly_full && !forced &&
-                                          _logWriteRemoval);
+    const std::size_t pick = pickWriteCandidate(
+        _lpq, now, !nearly_full && !forced && _logWriteRemoval);
     if (pick == npos)
         return false;
     issueWriteEntry(_lpq, pick, now);
@@ -956,23 +968,29 @@ MemCtrl::nextWake(Tick now)
     // was already ready during the last (idle) tick and the arbiter
     // still declined it, so only the aged threshold can unblock it.
     Tick wake = maxTick;
-    auto bankWake = [&](Addr addr) {
-        const Tick at = _dram.bankReadyAt(addr);
+    auto bankWake = [&](const NvmTiming::Loc &loc) {
+        const Tick at = _dram.bankReadyAt(loc);
         if (at >= now)
             wake = std::min(wake, at);
     };
     const std::size_t rdepth = std::min(_readQ.size(), scanLimit);
     for (std::size_t i = 0; i < rdepth; ++i)
-        bankWake(_readQ[i].addr);
-    auto queueWake = [&](const std::deque<QueuedWrite> &q) {
+        bankWake(_readQ[i].loc);
+    auto queueWake = [&](const WriteQueue &q) {
         if (q.empty())
             return;
         const Tick aged = q.front().acceptedAt + agedWriteTicks + 1;
         if (aged >= now)
             wake = std::min(wake, aged);
+        // An armed memo is the earliest ready tick of the scanned
+        // banks, all of which are still busy: what the scan would find.
+        if (q.busyUntil() != 0 && q.busyUntil() >= now) {
+            wake = std::min(wake, q.busyUntil());
+            return;
+        }
         const std::size_t depth = std::min(q.size(), scanLimit);
         for (std::size_t i = 0; i < depth; ++i)
-            bankWake(q[i].req.addr);
+            bankWake(q[i].loc);
     };
     queueWake(_wpq);
     queueWake(_lpq);

@@ -24,6 +24,7 @@
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "dram/nvm_timing.hh"
@@ -180,15 +181,79 @@ class MemCtrl : public Ticked
     struct QueuedWrite
     {
         WriteRequest req;
+        NvmTiming::Loc loc;     ///< req.addr's bank and row
         bool marker = false;    ///< held tx-end marker (Section 4.3)
         bool forced = false;    ///< must drain (context switch)
         std::uint64_t seq = 0;  ///< acceptance order
         Tick acceptedAt = 0;
     };
 
+    /**
+     * The WPQ or the LPQ: queued writes in acceptance order plus the
+     * arbiter's busy-until memo. A pick that finds every bank among the
+     * first scanLimit entries busy records the earliest of their ready
+     * ticks; until then no pick can succeed, because a busy bank frees
+     * up only by time passing. Every membership change goes through a
+     * mutator here and clears the memo. Entries may be edited in place
+     * (flags, payload) but never re-addressed.
+     */
+    class WriteQueue
+    {
+      public:
+        using Entries = std::deque<QueuedWrite>;
+
+        bool empty() const { return _entries.empty(); }
+        std::size_t size() const { return _entries.size(); }
+        const QueuedWrite &front() const { return _entries.front(); }
+        QueuedWrite &operator[](std::size_t i) { return _entries[i]; }
+        const QueuedWrite &
+        operator[](std::size_t i) const
+        {
+            return _entries[i];
+        }
+        Entries::iterator begin() { return _entries.begin(); }
+        Entries::iterator end() { return _entries.end(); }
+        Entries::const_iterator begin() const { return _entries.begin(); }
+        Entries::const_iterator end() const { return _entries.end(); }
+
+        void
+        push(QueuedWrite w)
+        {
+            _entries.push_back(std::move(w));
+            _busyUntil = 0;
+        }
+
+        void
+        erase(Entries::iterator it)
+        {
+            _entries.erase(it);
+            _busyUntil = 0;
+        }
+
+        /** Remove every entry matching @p pred; @return how many. */
+        template <typename Pred>
+        std::size_t
+        eraseIf(Pred pred)
+        {
+            const std::size_t n = std::erase_if(_entries, pred);
+            if (n)
+                _busyUntil = 0;
+            return n;
+        }
+
+        /** No pick can succeed before this tick (0: not armed). */
+        Tick busyUntil() const { return _busyUntil; }
+        void armBusyUntil(Tick at) { _busyUntil = at; }
+
+      private:
+        Entries _entries;
+        Tick _busyUntil = 0;
+    };
+
     struct PendingRead
     {
         Addr addr;
+        NvmTiming::Loc loc;     ///< addr's bank and row
         std::function<void()> onComplete;
         /** Completed array reads of this request that failed ECC; the
          *  bounded-retry loop re-enqueues with attempts + 1. */
@@ -240,14 +305,13 @@ class MemCtrl : public Ticked
     bool tryIssueRead(Tick now);
     bool tryIssueWrite(Tick now);
     bool tryIssueLog(Tick now);
-    void issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
-                         Tick now);
+    void issueWriteEntry(WriteQueue &queue, std::size_t idx, Tick now);
     void recordLogDurable(CoreId core, TxId tx, Addr granule);
     void checkDrainDone();
     std::uint64_t oldestPendingSeq() const;
     void noteLogArrival(CoreId core, TxId tx);
-    std::size_t pickWriteCandidate(const std::deque<QueuedWrite> &queue,
-                                   Tick now, bool skip_markers) const;
+    std::size_t pickWriteCandidate(WriteQueue &queue, Tick now,
+                                   bool skip_markers);
 
     Simulator &_sim;
     SystemConfig _cfg;
@@ -262,8 +326,11 @@ class MemCtrl : public Ticked
     unsigned _pendingRetries = 0;
 
     std::deque<PendingRead> _readQ;
-    std::deque<QueuedWrite> _wpq;
-    std::deque<QueuedWrite> _lpq;
+    WriteQueue _wpq;
+    WriteQueue _lpq;
+    /** flushCoreLogs marked LPQ entries forced and some may remain;
+     *  cleared by the first scan of the LPQ that finds none. */
+    bool _lpqMayHoldForced = false;
     unsigned _inflightReads = 0;
     unsigned _inflightWrites = 0;
     unsigned _inflightLogs = 0;

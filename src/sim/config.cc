@@ -105,6 +105,8 @@ SystemConfig::applyOverride(const std::string &spec)
         cpu.storeQueueEntries = static_cast<unsigned>(as_u64());
     else if (key == "cpu.fetchWidth")
         cpu.fetchWidth = static_cast<unsigned>(as_u64());
+    else if (key == "cpu.physIntRegs")
+        cpu.physIntRegs = static_cast<unsigned>(as_u64());
     else if (key == "mem.nvmMode") mem.nvmMode = as_bool();
     else if (key == "mem.nvmReadTRCD")
         mem.nvmReadTRCD = static_cast<unsigned>(as_u64());

@@ -58,6 +58,18 @@ TEST(Config, OverridesApply)
     EXPECT_EQ(cfg.mem.nvmWriteTRCD, 240u);
 }
 
+TEST(Config, PhysIntRegsOverride)
+{
+    // The register file is a --set key: it changes the resolved config,
+    // and a non-numeric value fails instead of being ignored.
+    SystemConfig cfg = baselineConfig();
+    EXPECT_EQ(cfg.cpu.physIntRegs, 180u);
+    cfg.applyOverride("cpu.physIntRegs=512");
+    EXPECT_EQ(cfg.cpu.physIntRegs, 512u);
+    EXPECT_THROW(cfg.applyOverride("cpu.physIntRegs=many"), FatalError);
+    EXPECT_EQ(cfg.cpu.physIntRegs, 512u);
+}
+
 TEST(Config, BadOverridesFatal)
 {
     SystemConfig cfg = baselineConfig();

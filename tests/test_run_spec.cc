@@ -117,6 +117,17 @@ TEST(RunSpec, OwnedSetKeysAreRejectedNamingTheirFlag)
     EXPECT_NE(parseError({"--set", "cpu.robEntries=lots"}), "");
 }
 
+TEST(RunSpec, SetPhysIntRegsReachesConfig)
+{
+    const char *argv[] = {"prog", "--set", "cpu.physIntRegs=256"};
+    const BenchOptions opts =
+        BenchOptions::parse(3, const_cast<char **>(argv));
+    EXPECT_EQ(opts.spec.config().cpu.physIntRegs, 256u);
+    EXPECT_EQ(opts.makeConfig(opts.spec).cpu.physIntRegs, 256u);
+    EXPECT_EQ(RunSpec{}.config().cpu.physIntRegs, 180u);
+    EXPECT_NE(parseError({"--set", "cpu.physIntRegs=lots"}), "");
+}
+
 TEST(RunSpec, FlagValuesAreRangeChecked)
 {
     EXPECT_NE(parseError({"--threads", "0"}), "");

@@ -49,11 +49,14 @@ usage()
         << "options (run/replay/crash):\n"
         << "  --at PERCENT       crash point as % of the full run "
         << "(crash; default 50)\n"
-        << "  --stats            dump the full statistics registry\n"
-        << "  --json             dump statistics as JSON (matrix: "
-        << "--json FILE)\n"
+        << "  --stats            dump the full statistics registry "
+        << "(run/replay)\n"
+        << "  --json             dump statistics as JSON (run/replay; "
+        << "matrix: --json FILE)\n"
         << "replay takes the workload, scheme and sizing from the file;"
-        << "\na flag that sets them to other values is an error.\n\n";
+        << "\na flag that sets them to other values is an error.\n"
+        << "crash runs no checker or flight recorder: it rejects --check,"
+        << "\n--check-mutate, --tx-stats, --stats and --json.\n\n";
     BenchOptions::printHelp(std::cout, simFlags);
     return 2;
 }
@@ -93,6 +96,25 @@ extractExtras(std::vector<char *> &args)
         }
     }
     return extras;
+}
+
+/** crash runs no checker, flight recorder or statistics dump, so the
+ *  flags that ask for one are rejected by name instead of ignored. */
+void
+rejectIgnoredCrashFlags(const CliExtras &extras, const BenchOptions &opts)
+{
+    const std::pair<bool, const char *> ignored[] = {
+        // --check-mutate implies --check: name it first.
+        {opts.checkMutate >= 0, "--check-mutate"},
+        {opts.check, "--check"},
+        {!opts.txStats.empty(), "--tx-stats"},
+        {extras.json, "--json"},
+        {extras.stats, "--stats"},
+    };
+    for (const auto &[given, flag] : ignored) {
+        if (given)
+            fatal(flag, " is not supported by proteus-sim crash");
+    }
 }
 
 void
@@ -307,6 +329,7 @@ main(int argc, char **argv)
         opts.spec.kind = parseWorkload(argv[2]);
         if (command == "run")
             return cmdRun("", nullptr, extras, opts);
+        rejectIgnoredCrashFlags(extras, opts);
         return crashAndRecover(opts.spec, opts.makeConfig(opts.spec),
                                extras.crashPercent, std::cout)
                    ? 0
